@@ -129,16 +129,16 @@ fn section_meta(state: &State) -> Vec<u8> {
 fn section_dict(dict: &Dict) -> Vec<u8> {
     let entries = dict.raw_entries();
     let blob_len = dict.string_bytes();
-    let mut out = Vec::with_capacity(16 + entries.len() * 9 + blob_len);
-    put_u64(&mut out, entries.len() as u64);
+    let mut out = Vec::with_capacity(16 + dict.len() * 9 + blob_len);
+    put_u64(&mut out, dict.len() as u64);
     put_u64(&mut out, blob_len as u64);
-    for e in entries {
+    for e in entries.clone() {
         out.push(match e {
             DictEntry::Big(_) => 0,
             DictEntry::Str(_) => 1,
         });
     }
-    for e in entries {
+    for e in entries.clone() {
         match e {
             DictEntry::Big(n) => put_u64(&mut out, *n),
             DictEntry::Str(s) => put_u64(&mut out, s.len() as u64),
@@ -209,9 +209,11 @@ pub fn write(state: &State) -> Vec<u8> {
     ])
 }
 
-/// The exact byte length [`write()`] would produce, without building the
-/// word sections — O(dictionary) work, so `snapshot-info` can report
-/// on-disk size per request even for multi-million-row states.
+/// The exact byte length [`write()`] would produce, without building any
+/// section but the small META one — O(relations) work (the dictionary
+/// keeps a running string-byte total), so `snapshot-info` and every
+/// ingest reply can report on-disk size even for multi-million-row
+/// states.
 pub fn snapshot_len(state: &State) -> usize {
     let dict = state.dict();
     let dict_len = 16 + dict.len() * 9 + dict.string_bytes();
@@ -539,6 +541,23 @@ mod tests {
     fn snapshot_len_matches_write() {
         for state in [sample_state(), State::new(Schema::new())] {
             assert_eq!(write(&state).len(), snapshot_len(&state));
+        }
+        // States built by publishes, the last ones past the bound where
+        // the dictionary tail folds into its base.
+        let shared = crate::SharedState::new(sample_state());
+        for round in 0..3 {
+            let rows = (0..crate::val::DICT_TAIL_FOLD / 2 + 1)
+                .map(|i| {
+                    vec![
+                        Value::Str(format!("machine#{round}.{i}")),
+                        Value::Nat(u64::MAX - i as u64),
+                        Value::Str(format!("tape&{}", i % 3)),
+                    ]
+                })
+                .collect();
+            shared.ingest("Run", rows).unwrap();
+            let state = shared.snapshot();
+            assert_eq!(write(&state).len(), snapshot_len(&state), "round {round}");
         }
     }
 

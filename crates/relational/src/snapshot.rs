@@ -3,18 +3,20 @@
 //! A [`SharedState`] is the multi-reader ownership story for [`State`]:
 //! readers take an immutable [`Snapshot`] (an `Arc`-shared state plus an
 //! epoch number) and keep it for as long as a query runs; writers batch
-//! mutations and *publish* — clone the current state (cheap, the
-//! dictionary and columns are `Arc`-shared and copy-on-write), apply the
-//! batch through the existing bulk-ingestion path, bump the epoch, and
+//! mutations and *publish* — clone the current state, apply the batch
+//! through the existing bulk-ingestion path, bump the epoch, and
 //! atomically swap the pointer. In-flight readers are never blocked and
 //! never observe a half-published batch: every snapshot is some state
 //! that was published whole.
 //!
-//! The append-only storage design is what makes this cheap. `Dict` only
-//! grows and `VRel` batches rewrite a relation's column in one merge
-//! pass anyway, so copy-on-write publication adds no asymptotic cost
-//! over single-owner mutation: a publishing batch deep-copies exactly
-//! the dictionary and the relations it touches, and shares the rest.
+//! A publish costs its delta, not the store. Cloning a state shares
+//! every relation's column and the dictionary's frozen base, and copies
+//! only the dictionary's tail of recently interned entries (at most
+//! 4096). The batch merge builds each touched relation's new column
+//! straight from the shared old one and carries its cached column
+//! statistics over, so the next read does not recompute them from the
+//! whole column, and the fingerprint reuses the dictionary's stored
+//! entry hashes. Untouched relations stay shared pointer for pointer.
 //!
 //! A store can also be **durable**: [`SharedState::create_durable`]
 //! seeds a directory with a base snapshot and an epoch-delta log
@@ -205,8 +207,8 @@ impl SharedState {
         let body = writing
             .as_ref()
             .map(|_| Wal::encode_batches(base.epoch + 1, &batches));
-        // Copy-on-write: pointer bumps now; the bulk path deep-copies
-        // the dictionary and touched relations when it mutates them.
+        // Pointer bumps plus the dictionary tail; the bulk path builds
+        // the touched relations' new columns from the shared ones.
         let mut next = (*base.state).clone();
         let mut added = 0;
         for (relation, rows) in batches {
@@ -276,7 +278,8 @@ impl SharedState {
 mod tests {
     use super::*;
     use crate::schema::Schema;
-    use crate::state::Value;
+    use crate::state::{StateBuilder, Value};
+    use crate::val::DICT_TAIL_FOLD;
 
     // The whole point: one store, many executors, scoped threads.
     const _: fn() = || {
@@ -329,16 +332,19 @@ mod tests {
     #[test]
     fn publication_shares_untouched_columns() {
         let mut base = State::new(schema());
+        // Enough strings to fold the dictionary tail into its base once.
         base.extend_bulk(
             "S",
-            (0..100)
-                .map(|i| vec![Value::Nat(i), Value::Nat(i + 1)])
+            (0..DICT_TAIL_FOLD as u64 + 100)
+                .map(|i| vec![Value::Nat(i), Value::Str(format!("s{i}"))])
                 .collect::<Vec<_>>(),
         )
         .unwrap();
         let shared = SharedState::new(base);
         let before = shared.snapshot();
-        shared.ingest("R", vec![vec![Value::Nat(9)]]).unwrap();
+        shared
+            .ingest("R", vec![vec![Value::Str("fresh".into())]])
+            .unwrap();
         let after = shared.snapshot();
         // The untouched relation's column is the same allocation.
         assert!(std::ptr::eq(
@@ -349,6 +355,62 @@ mod tests {
             before.vrel("R").unwrap(),
             after.vrel("R").unwrap()
         ));
+        // So is the dictionary's frozen base: the publish copied only
+        // the tail.
+        assert!(before.dict().shares_base_with(after.dict()));
+        assert_eq!(after.dict().len(), before.dict().len() + 1);
+    }
+
+    /// Publishes that together intern more than the fold bound: each
+    /// snapshot equals a bulk build of the same rows (tuples,
+    /// fingerprint, statistics, snapshot bytes), the fold gives the
+    /// writer a base of its own, and pinned snapshots never change.
+    #[test]
+    fn publishes_across_the_fold_bound_equal_bulk_builds() {
+        let shared = SharedState::new(State::new(schema()));
+        let mut log: Vec<(&str, Vec<Value>)> = Vec::new();
+        let mut pinned = Vec::new();
+        for round in 0..6u64 {
+            let mut batches = vec![("R".to_string(), Vec::new()), ("S".to_string(), Vec::new())];
+            for i in 0..1000u64 {
+                let fresh = Value::Str(format!("r{round}.{i}"));
+                batches[0].1.push(vec![fresh.clone()]);
+                // Old and fresh words in the non-leading column, big
+                // naturals and duplicates across rounds.
+                let old = Value::Str(format!("r0.{}", i % 10));
+                let second = [fresh, old, Value::Nat(u64::MAX - i % 3)][(i % 3) as usize].clone();
+                batches[1].1.push(vec![Value::Nat(i % 40), second]);
+            }
+            for (rel, rows) in &batches {
+                log.extend(
+                    rows.iter()
+                        .map(|t| (if rel == "R" { "R" } else { "S" }, t.clone())),
+                );
+            }
+            shared.ingest_batches(batches).unwrap();
+            let snap = shared.snapshot();
+            let mut b = StateBuilder::new(schema());
+            for (rel, t) in &log {
+                b.row_ref(rel, t);
+            }
+            let bulk = b.finish();
+            assert_eq!(*snap.state().as_ref(), bulk);
+            assert_eq!(snap.fingerprint(), bulk.fingerprint());
+            for rel in ["R", "S"] {
+                assert_eq!(snap.column_stats(rel), bulk.column_stats(rel), "{rel}");
+            }
+            let bytes = snap.snapshot_bytes();
+            assert_eq!(bytes, bulk.snapshot_bytes(), "round {round}");
+            pinned.push((snap, bulk, bytes));
+        }
+        assert!(pinned[5].0.dict().len() > DICT_TAIL_FOLD);
+        // The first publish past the bound folded into a copy of the
+        // base its predecessor still holds.
+        assert!(!pinned[3].0.dict().shares_base_with(pinned[4].0.dict()));
+        for (snap, bulk, bytes) in &pinned {
+            assert_eq!(snap.state().as_ref(), bulk);
+            assert_eq!(&snap.snapshot_bytes(), bytes);
+        }
     }
 
     #[test]

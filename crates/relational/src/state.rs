@@ -1,8 +1,9 @@
 //! Database states and the active domain.
 //!
 //! Storage is columnar and dictionary-encoded: each [`State`] owns a
-//! [`Dict`] interning strings and large naturals, and each relation is a
-//! [`VRel`] — a flat, arity-strided, semantically sorted `Vec<Val>`.
+//! [`Dict`] interning strings and large naturals (a shared frozen base
+//! plus a private tail), and each relation is a [`VRel`] — a flat,
+//! arity-strided, semantically sorted `Vec<Val>`.
 //! [`Value`] survives as the boundary type (JSON, CLI, query results);
 //! everything is encoded on insertion and decoded at the edges, so the
 //! public surface (and the on-disk JSON format) is unchanged.
@@ -168,16 +169,19 @@ impl std::error::Error for StateError {}
 
 /// A database state: finite relations plus values for scheme constants.
 ///
-/// The dictionary and each relation's columns live behind `Arc`s, so
-/// `clone()` is a handful of pointer bumps and mutation is copy-on-write
-/// (`Arc::make_mut` deep-copies only the dictionary and the relations a
-/// write actually touches). That makes [`Snapshot`](crate::Snapshot)
-/// publication cheap: a writer clones the current state, applies a
-/// batch, and swaps — in-flight readers keep every untouched column.
+/// Each relation's column lives behind an `Arc` and the dictionary
+/// shares its frozen base the same way, so `clone()` is pointer bumps
+/// plus a copy of the dictionary's small tail. A batch merge builds the
+/// touched relation's new column from the shared one (carrying its
+/// cached statistics over), and the single-row path
+/// copies on write. That makes [`Snapshot`](crate::Snapshot)
+/// publication cost its delta: a writer clones the current state,
+/// applies a batch, and swaps — in-flight readers keep every untouched
+/// column and the dictionary base.
 #[derive(Clone, Debug, Default)]
 pub struct State {
     schema: Schema,
-    dict: Arc<Dict>,
+    dict: Dict,
     relations: BTreeMap<String, Arc<VRel>>,
     constants: BTreeMap<String, Value>,
     /// Cached [`State::active_domain`]; cleared by every mutation.
@@ -195,7 +199,7 @@ impl State {
         }
         State {
             schema,
-            dict: Arc::default(),
+            dict: Dict::default(),
             relations,
             constants: BTreeMap::new(),
             ad_cache: OnceLock::new(),
@@ -241,8 +245,7 @@ impl State {
                 got: tuple.len(),
             });
         }
-        let dict = Arc::make_mut(&mut self.dict);
-        let row: Vec<Val> = tuple.iter().map(|v| dict.encode(v)).collect();
+        let row: Vec<Val> = tuple.iter().map(|v| self.dict.encode(v)).collect();
         Arc::make_mut(
             self.relations
                 .get_mut(relation)
@@ -484,15 +487,24 @@ impl State {
             let rel = Arc::make_mut(self.relations.get_mut(relation).expect("initialized"));
             usize::from(rel.insert(&[], &self.dict))
         } else {
+            let fresh_from = self.dict.len();
             let mut batch = Vec::with_capacity(staged.len() * arity);
-            Arc::make_mut(&mut self.dict)
+            self.dict
                 .encode_rows(staged.iter().map(|t| t.as_slice()), &mut batch);
-            Arc::make_mut(
-                self.relations
-                    .get_mut(relation)
-                    .expect("initialized in new()"),
-            )
-            .extend_from_sorted(batch, &self.dict)
+            // Merge straight from the (possibly shared) column into a
+            // new one: the old column is read once, never copied first.
+            let slot = self
+                .relations
+                .get_mut(relation)
+                .expect("initialized in new()");
+            match slot.merge_batch(batch, &self.dict, fresh_from) {
+                Some(merged) => {
+                    let added = merged.rows() - slot.rows();
+                    *slot = Arc::new(merged);
+                    added
+                }
+                None => 0,
+            }
         };
         if added > 0 {
             self.ad_cache.take();
@@ -542,14 +554,11 @@ impl State {
     /// mixed through per-entry *semantic* hashes, not dictionary ids),
     /// and any mutation invalidates the cached value — so the
     /// fingerprint is a sound O(1)-amortized cache key standing in for
-    /// the full serialized state.
+    /// the full serialized state. Computing it reads the dictionary's
+    /// stored entry hashes: only the tail's strings are hashed again.
     pub fn fingerprint(&self) -> u128 {
         *self.fp_cache.get_or_init(|| {
-            let table = self.dict.entry_hashes();
-            let word = |v: Val| match v.as_inline_nat() {
-                Some(n) => val::hash_nat(n),
-                None => table[v.id().expect("tagged")],
-            };
+            let hashes = self.dict.entry_hashes();
             // Two accumulators with independent mixing, concatenated to
             // 128 bits so distinct states collide only negligibly.
             let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
@@ -563,7 +572,7 @@ impl State {
                 mix(val::hash_str(name));
                 mix(rel.rows() as u64);
                 for &v in rel.data() {
-                    mix(word(v));
+                    mix(hashes.word(v));
                 }
             }
             for (name, v) in &self.constants {
@@ -615,7 +624,7 @@ impl State {
         debug_assert_eq!(schema.relations().count(), relations.len());
         State {
             schema,
-            dict: Arc::new(dict),
+            dict,
             relations,
             constants,
             ad_cache: OnceLock::new(),
@@ -732,9 +741,8 @@ impl StateBuilder {
                 got: tuple.len(),
             });
         }
-        let dict = Arc::make_mut(&mut self.state.dict);
         for v in tuple {
-            staging.flat.push(dict.encode(v));
+            staging.flat.push(self.state.dict.encode(v));
         }
         staging.rows += 1;
         Ok(())
@@ -1261,6 +1269,69 @@ mod tests {
             assert_eq!(Value::from_term(&v.to_term()), Some(v));
         }
         assert_eq!(Value::from_term(&Term::var("x")), None);
+    }
+
+    /// The fixed state whose fingerprint is pinned below: strings,
+    /// inline and interned naturals, a zero-arity relation, constants.
+    fn golden_rows() -> Vec<(&'static str, Tuple)> {
+        let mut rows = Vec::new();
+        for i in 0..50u64 {
+            rows.push((
+                "Run",
+                vec![
+                    Value::Str(format!("m{}", i % 7)),
+                    Value::Nat(i),
+                    Value::Str(format!("p&{}", i % 3)),
+                ],
+            ));
+            rows.push((
+                "Halted",
+                vec![Value::Nat((1 << 63) + i % 5), Value::Str(format!("w{i}"))],
+            ));
+        }
+        rows.push(("Flag", Vec::new()));
+        rows
+    }
+
+    fn golden_schema() -> Schema {
+        Schema::new()
+            .with_relation("Run", 3)
+            .with_relation("Halted", 2)
+            .with_relation("Flag", 0)
+            .with_constant("c")
+            .with_constant("d")
+    }
+
+    /// Fingerprints are written into `FQDELTA` records and checked on
+    /// replay, so the algorithm is pinned bit for bit: these are the
+    /// values earlier builds computed. The same content reached through
+    /// batch publishes in another interning order must agree.
+    #[test]
+    fn fingerprint_is_pinned() {
+        const GOLDEN: u128 = 0xdef0_a927_dd3c_9799_0d8c_ee0b_0e40_b9de;
+        let mut b = StateBuilder::new(golden_schema());
+        for (rel, t) in golden_rows() {
+            b.row(rel, t);
+        }
+        b.constant("c", 7u64);
+        b.constant("d", "trace#0");
+        assert_eq!(b.finish().fingerprint(), GOLDEN);
+        let mut published = State::new(golden_schema())
+            .with_constant("c", 7u64)
+            .with_constant("d", "trace#0");
+        let rows = golden_rows();
+        for chunk in rows.rchunks(7) {
+            for (rel, t) in chunk {
+                published.extend_bulk(rel, [t.clone()]).unwrap();
+            }
+            // Fingerprint between batches, as a publishing writer does.
+            published.fingerprint();
+        }
+        assert_eq!(published.fingerprint(), GOLDEN);
+        assert_eq!(
+            State::new(Schema::new()).fingerprint(),
+            0x9f94_0117_77c5_57de_4a75_0c28_102c_e0b7
+        );
     }
 
     #[test]

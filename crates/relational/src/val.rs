@@ -15,8 +15,9 @@
 //! semantic sorted order without duplicates, so decoding yields exactly
 //! the tuple sequence the old `BTreeSet<Tuple>` representation produced,
 //! and membership is a binary search over words. Per-column min/max and
-//! distinct counts ([`ColStats`]) are computed lazily and feed the
-//! optimizer's cardinality estimates.
+//! distinct counts ([`ColStats`]) are computed lazily, carried exactly
+//! through batch merges, and feed the optimizer's cardinality
+//! estimates.
 //!
 //! Writers have two paths into a [`VRel`]:
 //!
@@ -138,59 +139,186 @@ impl View<'_> {
     }
 }
 
+/// Entries interned since the base was frozen fold into the base once
+/// the tail holds this many. A publish copies the tail, so the bound
+/// caps that copy: about 60 µs for a full tail on a 2-vCPU Xeon host,
+/// against ~19 ms for a publish that folds into the 10⁶-row trace
+/// store's 258k-entry base. A fold into a shared base of `d` entries
+/// copies the base once, `d / 4096` entry copies per interned entry;
+/// folds into an unshared base (bulk loads, snapshot reads, log
+/// replay) copy nothing.
+pub(crate) const DICT_TAIL_FOLD: usize = 4096;
+
+/// One id range of a [`Dict`]: the entries in id order, the reverse
+/// indexes, and the running total of string payload bytes.
+#[derive(Clone, Debug, Default)]
+struct Entries {
+    entries: Vec<DictEntry>,
+    bigs: FxMap<u64, u32>,
+    strs: FxMap<Arc<str>, u32>,
+    string_bytes: usize,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn lookup(&self, v: &Value) -> Option<u32> {
+        match v {
+            Value::Nat(n) => self.bigs.get(n).copied(),
+            Value::Str(s) => self.strs.get(s.as_str()).copied(),
+        }
+    }
+
+    /// Append a value known to be absent, under id `id`.
+    fn push(&mut self, v: &Value, id: u32) {
+        match v {
+            Value::Nat(n) => {
+                self.entries.push(DictEntry::Big(*n));
+                self.bigs.insert(*n, id);
+            }
+            Value::Str(s) => {
+                let arc: Arc<str> = Arc::from(s.as_str());
+                self.string_bytes += arc.len();
+                self.entries.push(DictEntry::Str(arc.clone()));
+                self.strs.insert(arc, id);
+            }
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+        self.strs.reserve(additional);
+    }
+}
+
+/// The frozen part of a [`Dict`], shared between every state cloned
+/// from one another. `hashes` holds each entry's semantic hash for
+/// [`State::fingerprint`](crate::State::fingerprint); it is filled on
+/// first use and extended, once filled, by every fold.
+#[derive(Debug, Default)]
+struct DictBase {
+    part: Entries,
+    hashes: OnceLock<Vec<u64>>,
+}
+
+impl DictBase {
+    /// A copy whose vectors are allocated once, at their size after
+    /// `extra` more entries: growing a copy by doubling would leave
+    /// the allocator a trail of ever larger blocks, one per fold.
+    fn copy_with_room(&self, extra: usize) -> DictBase {
+        fn with_room<T: Clone>(items: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(items.len() + extra);
+            out.extend_from_slice(items);
+            out
+        }
+        let hashes = OnceLock::new();
+        if let Some(h) = self.hashes.get() {
+            hashes.set(with_room(h, extra)).expect("fresh cell");
+        }
+        DictBase {
+            part: Entries {
+                entries: with_room(&self.part.entries, extra),
+                bigs: self.part.bigs.clone(),
+                strs: self.part.strs.clone(),
+                string_bytes: self.part.string_bytes,
+            },
+            hashes,
+        }
+    }
+
+    fn hashes(&self) -> &[u64] {
+        self.hashes.get_or_init(|| {
+            self.part
+                .entries
+                .iter()
+                .map(DictEntry::semantic_hash)
+                .collect()
+        })
+    }
+}
+
+impl DictEntry {
+    fn view(&self) -> View<'_> {
+        match self {
+            DictEntry::Big(n) => View::Nat(*n),
+            DictEntry::Str(s) => View::Str(s),
+        }
+    }
+
+    /// The semantic hash: equal values hash equal in any dictionary.
+    fn semantic_hash(&self) -> u64 {
+        match self {
+            DictEntry::Big(n) => hash_nat(*n),
+            DictEntry::Str(s) => hash_str(s),
+        }
+    }
+}
+
 /// The per-[`State`](crate::State) append-only interning dictionary.
 /// Every stored string and large natural has exactly one id, so two
 /// words from the same dictionary are equal iff they denote the same
 /// value.
+///
+/// A dictionary is an `Arc`-shared frozen **base** (ids `0 .. b`) plus
+/// a private **tail** (ids `b ..`) of the entries interned since. A
+/// clone copies only the tail, so cloning a state to publish a batch
+/// costs the tail, not the dictionary. When the tail reaches
+/// `DICT_TAIL_FOLD` entries it folds into the base — in place when no
+/// other dictionary shares the base, through one copy otherwise. Ids
+/// never move, so folding is invisible to every stored word.
 #[derive(Clone, Debug, Default)]
 pub struct Dict {
-    entries: Vec<DictEntry>,
-    bigs: FxMap<u64, u32>,
-    strs: FxMap<Arc<str>, u32>,
+    base: Arc<DictBase>,
+    tail: Entries,
 }
 
 impl Dict {
     /// Number of interned entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.base.part.len() + self.tail.len()
     }
 
     /// Is the dictionary empty?
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Number of interned strings.
     pub fn strings(&self) -> usize {
-        self.strs.len()
+        self.base.part.strs.len() + self.tail.strs.len()
     }
 
     /// Intern a value, returning its canonical word.
     pub fn encode(&mut self, v: &Value) -> Val {
-        match v {
-            Value::Nat(n) => match Val::inline_nat(*n) {
-                Some(val) => val,
-                None => match self.bigs.get(n) {
-                    Some(&id) => Val::from_id(id as usize),
-                    None => {
-                        let id = self.entries.len() as u32;
-                        self.entries.push(DictEntry::Big(*n));
-                        self.bigs.insert(*n, id);
-                        Val::from_id(id as usize)
-                    }
-                },
-            },
-            Value::Str(s) => match self.strs.get(s.as_str()) {
-                Some(&id) => Val::from_id(id as usize),
-                None => {
-                    let id = self.entries.len() as u32;
-                    let arc: Arc<str> = Arc::from(s.as_str());
-                    self.entries.push(DictEntry::Str(arc.clone()));
-                    self.strs.insert(arc, id);
-                    Val::from_id(id as usize)
-                }
-            },
+        if let Some(val) = self.lookup(v) {
+            return val;
         }
+        let id = self.len();
+        self.tail.push(v, id as u32);
+        if self.tail.len() >= DICT_TAIL_FOLD {
+            self.fold();
+        }
+        Val::from_id(id)
+    }
+
+    /// Move the tail into the base. Copies the base first when another
+    /// dictionary shares it, so those dictionaries never change.
+    fn fold(&mut self) {
+        let tail = std::mem::take(&mut self.tail);
+        if Arc::get_mut(&mut self.base).is_none() {
+            self.base = Arc::new(self.base.copy_with_room(tail.len()));
+        }
+        let base = Arc::get_mut(&mut self.base).expect("unshared after the copy");
+        if let Some(hashes) = base.hashes.get_mut() {
+            hashes.extend(tail.entries.iter().map(DictEntry::semantic_hash));
+        }
+        let part = &mut base.part;
+        part.entries.extend(tail.entries);
+        part.bigs.extend(tail.bigs);
+        part.strs.extend(tail.strs);
+        part.string_bytes += tail.string_bytes;
     }
 
     /// Batch-intern a sequence of decoded tuples into one flat word
@@ -198,20 +326,20 @@ impl Dict {
     ///
     /// Semantically identical to calling [`Dict::encode`] per value —
     /// interning stays canonical, ids are assigned in first-seen order —
-    /// but the entry table and reverse maps are grown once per batch
-    /// instead of once per miss, which amortizes the rehash and
-    /// `Arc<str>` bookkeeping that dominates string-heavy loads.
+    /// but the tail is grown once per batch instead of once per miss,
+    /// which amortizes the rehash that dominates string-heavy loads.
     pub fn encode_rows<'a, I>(&mut self, tuples: I, out: &mut Vec<Val>)
     where
         I: IntoIterator<Item = &'a [Value]>,
     {
         let tuples = tuples.into_iter();
-        // Reserve one fresh entry per row up front. Over-reservation is
-        // harmless; under-reservation (wide rows of all-new strings)
-        // just rehashes as the per-value path would have.
+        // Reserve one fresh entry per row up front, up to the fold
+        // bound. Over-reservation is harmless; under-reservation (wide
+        // rows of all-new strings) just rehashes as the per-value path
+        // would have.
         let (lo, _) = tuples.size_hint();
-        self.entries.reserve(lo);
-        self.strs.reserve(lo);
+        self.tail
+            .reserve(lo.min(DICT_TAIL_FOLD.saturating_sub(self.tail.len())));
         for tuple in tuples {
             out.reserve(tuple.len());
             for v in tuple {
@@ -223,61 +351,75 @@ impl Dict {
     /// The word for a value **without** interning. `None` means the
     /// value is not in the dictionary (hence in no stored tuple).
     pub fn lookup(&self, v: &Value) -> Option<Val> {
-        match v {
-            Value::Nat(n) => match Val::inline_nat(*n) {
-                Some(val) => Some(val),
-                None => self.bigs.get(n).map(|&id| Val::from_id(id as usize)),
-            },
-            Value::Str(s) => self
-                .strs
-                .get(s.as_str())
-                .map(|&id| Val::from_id(id as usize)),
+        if let Value::Nat(n) = v {
+            if let Some(val) = Val::inline_nat(*n) {
+                return Some(val);
+            }
+        }
+        self.base
+            .part
+            .lookup(v)
+            .or_else(|| self.tail.lookup(v))
+            .map(|id| Val::from_id(id as usize))
+    }
+
+    /// The entry behind an id.
+    fn entry(&self, id: usize) -> &DictEntry {
+        let base = &self.base.part.entries;
+        match base.get(id) {
+            Some(e) => e,
+            None => &self.tail.entries[id - base.len()],
         }
     }
 
-    /// A 64-bit semantic hash of every interned entry, indexed by id.
-    /// Equal values hash equal in *any* dictionary, regardless of id
-    /// assignment order, so [`State::fingerprint`](crate::State::fingerprint)
-    /// can mix row words through this table and depend only on decoded
-    /// content — never on interning history.
-    pub(crate) fn entry_hashes(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .map(|e| match e {
-                DictEntry::Big(n) => hash_nat(*n),
-                DictEntry::Str(s) => hash_str(s),
-            })
-            .collect()
+    /// The semantic hash of every interned entry, by id. Equal values
+    /// hash equal in *any* dictionary, regardless of id assignment
+    /// order, so [`State::fingerprint`](crate::State::fingerprint) can
+    /// mix row words through this table and depend only on decoded
+    /// content — never on interning history. The base's hashes are
+    /// computed once and kept; only the tail's are computed per call.
+    pub(crate) fn entry_hashes(&self) -> EntryHashes<'_> {
+        EntryHashes {
+            base: self.base.hashes(),
+            tail: self
+                .tail
+                .entries
+                .iter()
+                .map(DictEntry::semantic_hash)
+                .collect(),
+        }
     }
 
     /// The interned entries in id order — exactly what the snapshot
     /// format serializes, so a reload via [`Dict::from_raw_entries`]
     /// reproduces this dictionary's id assignment and every stored
     /// word column stays valid verbatim.
-    pub(crate) fn raw_entries(&self) -> &[DictEntry] {
-        &self.entries
+    pub(crate) fn raw_entries(&self) -> impl Iterator<Item = &DictEntry> + Clone + '_ {
+        self.base.part.entries.iter().chain(&self.tail.entries)
     }
 
-    /// Total bytes of interned string payloads (snapshot sizing).
+    /// Total bytes of interned string payloads (snapshot sizing),
+    /// kept as a running total.
     pub(crate) fn string_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| match e {
-                DictEntry::Big(_) => 0,
-                DictEntry::Str(s) => s.len(),
-            })
-            .sum()
+        self.base.part.string_bytes + self.tail.string_bytes
+    }
+
+    /// Does this dictionary share its frozen base with `other`?
+    #[cfg(test)]
+    pub(crate) fn shares_base_with(&self, other: &Dict) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
     }
 
     /// Rebuild a dictionary from an entry table in id order,
-    /// reconstructing the reverse maps. `Err` (with a human-readable
-    /// detail) when the table is not canonical — duplicate entries, or
-    /// a "big" natural small enough to inline — since words encoded
-    /// against such a table would break the one-word-per-value
-    /// invariant word equality relies on.
+    /// reconstructing the reverse maps; every entry lands in the base.
+    /// `Err` (with a human-readable detail) when the table is not
+    /// canonical — duplicate entries, or a "big" natural small enough
+    /// to inline — since words encoded against such a table would break
+    /// the one-word-per-value invariant word equality relies on.
     pub(crate) fn from_raw_entries(entries: Vec<DictEntry>) -> Result<Dict, String> {
         let mut bigs = crate::fx::map_with_capacity(entries.len());
         let mut strs = crate::fx::map_with_capacity(entries.len());
+        let mut string_bytes = 0;
         for (id, entry) in entries.iter().enumerate() {
             match entry {
                 DictEntry::Big(n) => {
@@ -291,26 +433,32 @@ impl Dict {
                     }
                 }
                 DictEntry::Str(s) => {
+                    string_bytes += s.len();
                     if strs.insert(Arc::clone(s), id as u32).is_some() {
                         return Err(format!("dictionary entry {id} duplicates a string"));
                     }
                 }
             }
         }
-        Ok(Dict {
+        let part = Entries {
             entries,
             bigs,
             strs,
+            string_bytes,
+        };
+        Ok(Dict {
+            base: Arc::new(DictBase {
+                part,
+                hashes: OnceLock::new(),
+            }),
+            tail: Entries::default(),
         })
     }
 
     fn view(&self, v: Val) -> View<'_> {
         match v.as_inline_nat() {
             Some(n) => View::Nat(n),
-            None => match &self.entries[v.id().expect("tagged")] {
-                DictEntry::Big(n) => View::Nat(*n),
-                DictEntry::Str(s) => View::Str(s),
-            },
+            None => self.entry(v.id().expect("tagged")).view(),
         }
     }
 
@@ -374,25 +522,44 @@ impl Dict {
         // naturals as their value (≥ 2⁶³, above every inline word);
         // strings as 2⁶⁴ + rank in byte order (above every natural) —
         // canonical interning makes ranks collision-free.
-        let mut str_ids: Vec<u32> = (0..self.entries.len() as u32)
-            .filter(|&id| matches!(self.entries[id as usize], DictEntry::Str(_)))
+        let mut strs: Vec<(&str, u32)> = self
+            .raw_entries()
+            .enumerate()
+            .filter_map(|(id, e)| match e {
+                DictEntry::Str(s) => Some((&**s, id as u32)),
+                DictEntry::Big(_) => None,
+            })
             .collect();
-        str_ids.sort_unstable_by(|&a, &b| {
-            match (&self.entries[a as usize], &self.entries[b as usize]) {
-                (DictEntry::Str(x), DictEntry::Str(y)) => x.cmp(y),
-                _ => unreachable!("filtered to strings"),
-            }
-        });
-        let mut by_id = vec![0u128; self.entries.len()];
-        for (rank, &id) in str_ids.iter().enumerate() {
+        strs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut by_id = vec![0u128; self.len()];
+        for (rank, &(_, id)) in strs.iter().enumerate() {
             by_id[id as usize] = (1u128 << 64) + rank as u128;
         }
-        for (id, entry) in self.entries.iter().enumerate() {
+        for (id, entry) in self.raw_entries().enumerate() {
             if let DictEntry::Big(n) = entry {
                 by_id[id] = *n as u128;
             }
         }
         SortKeys { by_id }
+    }
+}
+
+/// Per-entry semantic hashes of one [`Dict`] (see [`Dict::entry_hashes`]).
+pub(crate) struct EntryHashes<'a> {
+    base: &'a [u64],
+    tail: Vec<u64>,
+}
+
+impl EntryHashes<'_> {
+    /// The semantic hash of a word of the dictionary.
+    pub(crate) fn word(&self, v: Val) -> u64 {
+        let Some(id) = v.id() else {
+            return hash_nat(v.raw());
+        };
+        match self.base.get(id) {
+            Some(&h) => h,
+            None => self.tail[id - self.base.len()],
+        }
     }
 }
 
@@ -526,14 +693,9 @@ impl<'a> OverlayDict<'a> {
             Some(n) => View::Nat(n),
             None => {
                 let id = v.id().expect("tagged");
-                let entry = if id < self.base.len() {
-                    &self.base.entries[id]
-                } else {
-                    &self.extra[id - self.base.len()]
-                };
-                match entry {
-                    DictEntry::Big(n) => View::Nat(*n),
-                    DictEntry::Str(s) => View::Str(s),
+                match id.checked_sub(self.base.len()) {
+                    Some(i) => self.extra[i].view(),
+                    None => self.base.entry(id).view(),
                 }
             }
         }
@@ -842,31 +1004,65 @@ impl VRel {
     /// rows that were new.
     ///
     /// Cost: O(b log b) comparisons to sort the batch (adaptive — an
-    /// already-sorted batch sorts in O(b)) plus one O(rows + b) merge
-    /// with the existing store, against O(b × rows) for the equivalent
-    /// [`VRel::insert`] loop.
+    /// already-sorted batch sorts in O(b)), O(b log(rows / b))
+    /// comparisons to place it, and one copy of the store, against
+    /// O(b × rows) for the equivalent [`VRel::insert`] loop. Cached
+    /// column statistics are carried over (see [`VRel::merge_batch`]).
     ///
     /// # Panics
     ///
     /// Panics if `batch.len()` is not a multiple of the arity.
     pub fn extend_from_sorted(&mut self, batch: Vec<Val>, dict: &Dict) -> usize {
-        let Some(b) = self.check_batch(&batch) else {
-            return 0;
-        };
+        let merged = self.merge_batch(batch, dict, dict.len());
+        self.adopt(merged)
+    }
+
+    /// This relation with `batch` merged in, built in one pass from the
+    /// (possibly shared) store — or `None` when every batch row is
+    /// already stored. Words with ids at or above `fresh_from` must be
+    /// entries the batch's interning added to `dict`.
+    ///
+    /// When this relation's statistics are cached, the result's are
+    /// derived from them instead of being cleared: min and max from the
+    /// added rows, `distinct` exactly — a word interned for this batch
+    /// is new to every column, the leading column's neighbours in the
+    /// sort order settle it there, and any other column settles its
+    /// older words with one word-equality pass over the stored column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch.len()` is not a multiple of the arity.
+    pub(crate) fn merge_batch(
+        &self,
+        batch: Vec<Val>,
+        dict: &Dict,
+        fresh_from: usize,
+    ) -> Option<VRel> {
+        let b = self.check_batch(&batch)?;
+        let arity = self.arity;
+        let by_dict = |x: &[Val], y: &[Val]| dict.cmp_rows(x, y);
         // Sortedness probe, run *before* the rank-key decision: a batch
         // from an already-sorted producer (snapshot-ordered traces, rows
         // streamed out of another `VRel`) skips both the O(b log b)
         // permutation sort and the O(d log d) dictionary ranking, and an
         // unsorted batch fails the probe within a few comparisons.
-        if Self::batch_is_sorted(&batch, b, self.arity, |x, y| dict.cmp_rows(x, y)) {
-            return self.merge_presorted(batch, b, |x, y| dict.cmp_rows(x, y));
-        }
-        if batch_prefers_keys(b, self.arity, dict.len()) {
+        let (merged, added_at) = if Self::batch_is_sorted(&batch, b, arity, by_dict) {
+            self.merge_ordered(batch, None, by_dict)?
+        } else if batch_prefers_keys(b, arity, dict.len()) {
             let keys = dict.sort_keys();
-            self.merge_batch(batch, b, |x, y| keys.cmp_rows(x, y))
+            let by_keys = |x: &[Val], y: &[Val]| keys.cmp_rows(x, y);
+            let order = Self::sort_order(&batch, b, arity, by_keys);
+            self.merge_ordered(batch, Some(&order), by_keys)?
         } else {
-            self.merge_batch(batch, b, |x, y| dict.cmp_rows(x, y))
+            let order = Self::sort_order(&batch, b, arity, by_dict);
+            self.merge_ordered(batch, Some(&order), by_dict)?
+        };
+        if let Some(stats) = self.stats.get() {
+            if let Some(carried) = merged.carried_stats(stats, self, &added_at, dict, fresh_from) {
+                merged.stats.set(carried).expect("fresh cell");
+            }
         }
+        Some(merged)
     }
 
     /// [`VRel::extend_from_sorted`] with a prebuilt key table, for bulk
@@ -875,13 +1071,16 @@ impl VRel {
     /// come from the dictionary the batch (and this store) was encoded
     /// against, built after the last interning.
     pub fn extend_from_sorted_with(&mut self, batch: Vec<Val>, keys: &SortKeys) -> usize {
-        let Some(b) = self.check_batch(&batch) else {
-            return 0;
-        };
-        if Self::batch_is_sorted(&batch, b, self.arity, |x, y| keys.cmp_rows(x, y)) {
-            return self.merge_presorted(batch, b, |x, y| keys.cmp_rows(x, y));
-        }
-        self.merge_batch(batch, b, |x, y| keys.cmp_rows(x, y))
+        let cmp = |x: &[Val], y: &[Val]| keys.cmp_rows(x, y);
+        let merged = self.check_batch(&batch).and_then(|b| {
+            if Self::batch_is_sorted(&batch, b, self.arity, cmp) {
+                self.merge_ordered(batch, None, cmp)
+            } else {
+                let order = Self::sort_order(&batch, b, self.arity, cmp);
+                self.merge_ordered(batch, Some(&order), cmp)
+            }
+        });
+        self.adopt(merged.map(|(rel, _)| rel))
     }
 
     /// [`VRel::extend_from_sorted_with`] with the batch sort fanned out
@@ -914,12 +1113,13 @@ impl VRel {
     ) -> usize {
         assert!(chunk_rows > 0, "chunk size must be positive");
         let Some(b) = self.check_batch(&batch) else {
-            return 0;
+            return self.adopt(None);
         };
         let arity = self.arity;
         let cmp = |x: &[Val], y: &[Val]| keys.cmp_rows(x, y);
         if Self::batch_is_sorted(&batch, b, arity, cmp) {
-            return self.merge_presorted(batch, b, cmp);
+            let merged = self.merge_ordered(batch, None, cmp);
+            return self.adopt(merged.map(|(rel, _)| rel));
         }
         let row_of = |i: u32| &batch[i as usize * arity..(i as usize + 1) * arity];
         // Sorted runs over disjoint index ranges, in index order.
@@ -929,8 +1129,8 @@ impl VRel {
             .collect();
         let mut runs: Vec<Vec<u32>> = engine.parallel_map(&ranges, |&(lo, hi)| {
             let mut run: Vec<u32> = (lo..hi).collect();
-            // Stable, matching `merge_batch`'s `sort_by` — equal rows
-            // keep index order within a run.
+            // Stable, matching `sort_order` — equal rows keep index
+            // order within a run.
             run.sort_by(|&i, &j| cmp(row_of(i), row_of(j)));
             run
         });
@@ -963,7 +1163,23 @@ impl VRel {
             });
         }
         let order = runs.pop().expect("b > 0 yields at least one run");
-        self.merge_ordered(batch, b, &order, cmp)
+        let merged = self.merge_ordered(batch, Some(&order), cmp);
+        self.adopt(merged.map(|(rel, _)| rel))
+    }
+
+    /// Replace this relation by a merge result (if any), resetting the
+    /// single-row streak guard. Returns the number of rows added.
+    fn adopt(&mut self, merged: Option<VRel>) -> usize {
+        #[cfg(debug_assertions)]
+        {
+            self.insert_streak = 0;
+        }
+        let Some(next) = merged else {
+            return 0;
+        };
+        let added = next.rows - self.rows;
+        *self = next;
+        added
     }
 
     /// Is the batch already strictly sorted (no duplicates) under `cmp`?
@@ -981,31 +1197,9 @@ impl VRel {
         })
     }
 
-    /// Merge a batch the probe certified strictly sorted: into an empty
-    /// store the batch *is* the new store (zero copies); otherwise one
-    /// merge pass with the identity permutation (no sort).
-    fn merge_presorted<F>(&mut self, batch: Vec<Val>, b: usize, cmp: F) -> usize
-    where
-        F: Fn(&[Val], &[Val]) -> Ordering,
-    {
-        if self.rows == 0 {
-            self.rows = b;
-            self.data = batch;
-            self.stats.take();
-            return b;
-        }
-        let order: Vec<u32> = (0..b as u32).collect();
-        self.merge_ordered(batch, b, &order, cmp)
-    }
-
-    /// Shared batch validation: resets the single-row streak guard,
-    /// filters out empty batches, and panics on ragged input. Returns
-    /// the batch row count.
-    fn check_batch(&mut self, batch: &[Val]) -> Option<usize> {
-        #[cfg(debug_assertions)]
-        {
-            self.insert_streak = 0;
-        }
+    /// Shared batch validation: filters out empty batches and panics on
+    /// ragged input. Returns the batch row count.
+    fn check_batch(&self, batch: &[Val]) -> Option<usize> {
         if batch.is_empty() {
             return None;
         }
@@ -1018,15 +1212,13 @@ impl VRel {
         Some(batch.len() / self.arity)
     }
 
-    /// The sort-dedupe-merge core behind both batch entry points,
-    /// generic over the row comparator (dictionary walk or key table).
-    fn merge_batch<F>(&mut self, batch: Vec<Val>, b: usize, cmp: F) -> usize
+    /// The stable sorted order of the batch's rows, as a row-index
+    /// permutation — sorting indices swaps one `u32` per move, not
+    /// `arity` words.
+    fn sort_order<F>(batch: &[Val], b: usize, arity: usize, cmp: F) -> Vec<u32>
     where
         F: Fn(&[Val], &[Val]) -> Ordering,
     {
-        let arity = self.arity;
-        // Sort a row-index permutation instead of the flat buffer so a
-        // comparison swaps one usize, not `arity` words.
         let mut order: Vec<u32> = (0..b as u32).collect();
         order.sort_by(|&i, &j| {
             cmp(
@@ -1034,62 +1226,99 @@ impl VRel {
                 &batch[j as usize * arity..(j as usize + 1) * arity],
             )
         });
-        self.merge_ordered(batch, b, &order, cmp)
+        order
     }
 
-    /// One merge pass of a batch whose sorted order is given by the
-    /// `order` permutation, deduping the batch against itself and
-    /// against the store.
-    fn merge_ordered<F>(&mut self, batch: Vec<Val>, b: usize, order: &[u32], cmp: F) -> usize
+    /// The first stored row at or after `from` that is not below `row`,
+    /// and whether it equals `row`: an exponential probe from `from`,
+    /// then a binary search of the last gap — O(log distance)
+    /// comparisons.
+    fn gallop<F>(&self, from: usize, row: &[Val], cmp: &F) -> (usize, bool)
+    where
+        F: Fn(&[Val], &[Val]) -> Ordering,
+    {
+        let (mut lo, mut hi, mut step) = (from, from, 1usize);
+        while hi < self.rows && cmp(self.row(hi), row) == Ordering::Less {
+            lo = hi + 1;
+            hi = hi.saturating_add(step);
+            step = step.saturating_mul(2);
+        }
+        hi = hi.min(self.rows);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if cmp(self.row(mid), row) == Ordering::Less {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (
+            lo,
+            lo < self.rows && cmp(self.row(lo), row) == Ordering::Equal,
+        )
+    }
+
+    /// One merge of a batch whose sorted order is `order` (`None`: the
+    /// batch is strictly sorted already), deduping the batch against
+    /// itself and against the store. Returns the merged relation (with
+    /// statistics uncomputed) and the merged row index of every added
+    /// row, ascending — or `None` when nothing was added.
+    fn merge_ordered<F>(
+        &self,
+        batch: Vec<Val>,
+        order: Option<&[u32]>,
+        cmp: F,
+    ) -> Option<(VRel, Vec<usize>)>
     where
         F: Fn(&[Val], &[Val]) -> Ordering,
     {
         let arity = self.arity;
-        let mut merged: Vec<Val> = Vec::with_capacity(self.data.len() + batch.len());
-        let mut added = 0usize;
-        let mut old = 0usize; // next existing row
-        let mut new = 0usize; // next position in `order`
-        let row_of = |i: u32| &batch[i as usize * arity..(i as usize + 1) * arity];
-        while old < self.rows || new < b {
-            if new >= b {
-                merged.extend_from_slice(self.row(old));
-                old += 1;
+        let b = batch.len() / arity;
+        let fresh = |data: Vec<Val>| VRel {
+            arity,
+            rows: data.len() / arity,
+            data,
+            stats: OnceLock::new(),
+            #[cfg(debug_assertions)]
+            insert_streak: 0,
+        };
+        if self.rows == 0 && order.is_none() {
+            // A sorted batch into an empty store *is* the new store.
+            return Some((fresh(batch), (0..b).collect()));
+        }
+        let row_of = |i: usize| &batch[i * arity..(i + 1) * arity];
+        // Each new row's insertion point among the stored rows, in
+        // sorted order; rows equal to their sorted predecessor or to a
+        // stored row are skipped.
+        let mut inserts: Vec<(usize, usize)> = Vec::new();
+        let mut from = 0usize;
+        let mut prev: Option<usize> = None;
+        for k in 0..b {
+            let i = order.map_or(k, |o| o[k] as usize);
+            if prev.is_some_and(|p| cmp(row_of(p), row_of(i)) == Ordering::Equal) {
                 continue;
             }
-            // Skip batch rows equal to their sorted predecessor.
-            if new > 0 && cmp(row_of(order[new - 1]), row_of(order[new])) == Ordering::Equal {
-                new += 1;
-                continue;
-            }
-            if old >= self.rows {
-                merged.extend_from_slice(row_of(order[new]));
-                added += 1;
-                new += 1;
-                continue;
-            }
-            match cmp(self.row(old), row_of(order[new])) {
-                Ordering::Less => {
-                    merged.extend_from_slice(self.row(old));
-                    old += 1;
-                }
-                Ordering::Equal => {
-                    merged.extend_from_slice(self.row(old));
-                    old += 1;
-                    new += 1;
-                }
-                Ordering::Greater => {
-                    merged.extend_from_slice(row_of(order[new]));
-                    added += 1;
-                    new += 1;
-                }
+            prev = Some(i);
+            let (at, found) = self.gallop(from, row_of(i), &cmp);
+            from = at;
+            if !found {
+                inserts.push((at, i));
             }
         }
-        if added > 0 {
-            self.rows += added;
-            self.data = merged;
-            self.stats.take();
+        if inserts.is_empty() {
+            return None;
         }
-        added
+        let mut data = Vec::with_capacity(self.data.len() + inserts.len() * arity);
+        let mut added_at = Vec::with_capacity(inserts.len());
+        let mut copied = 0usize;
+        for &(at, i) in &inserts {
+            data.extend_from_slice(&self.data[copied * arity..at * arity]);
+            added_at.push(data.len() / arity);
+            data.extend_from_slice(row_of(i));
+            copied = at;
+        }
+        data.extend_from_slice(&self.data[copied * arity..]);
+        Some((fresh(data), added_at))
     }
 
     /// Membership by binary search over words.
@@ -1104,35 +1333,141 @@ impl VRel {
             .map(move |row| row.iter().map(|&v| dict.decode(v)).collect())
     }
 
+    /// The words of column `c`, in row order.
+    fn column(&self, c: usize) -> impl Iterator<Item = Val> + '_ {
+        self.data.iter().skip(c).step_by(self.arity).copied()
+    }
+
     /// Per-column statistics, computed once and cached until the next
-    /// insertion.
+    /// insertion (batch merges carry them over instead).
     pub fn stats(&self, dict: &Dict) -> &[ColStats] {
         self.stats.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.arity);
-            for c in 0..self.arity {
-                let mut distinct: std::collections::HashSet<Val> = std::collections::HashSet::new();
-                let mut min: Option<Val> = None;
-                let mut max: Option<Val> = None;
-                for r in 0..self.rows {
-                    let v = self.data[r * self.arity + c];
-                    distinct.insert(v);
-                    min = Some(match min {
-                        Some(m) if dict.cmp_vals(m, v) != Ordering::Greater => m,
-                        _ => v,
-                    });
-                    max = Some(match max {
-                        Some(m) if dict.cmp_vals(m, v) != Ordering::Less => m,
-                        _ => v,
-                    });
+            (0..self.arity)
+                .map(|c| self.column_stats(c, dict))
+                .collect()
+        })
+    }
+
+    fn column_stats(&self, c: usize, dict: &Dict) -> ColStats {
+        if self.rows == 0 {
+            return ColStats {
+                distinct: 0,
+                min: None,
+                max: None,
+            };
+        }
+        let (distinct, min, max) = if c == 0 {
+            // Rows are sorted by the leading column first: its equal
+            // values are adjacent and its extremes are the end rows.
+            let mut distinct = 1;
+            let mut last = self.data[0];
+            for v in self.column(0) {
+                if v != last {
+                    distinct += 1;
+                    last = v;
+                }
+            }
+            (distinct, self.data[0], self.row(self.rows - 1)[0])
+        } else {
+            let mut seen = crate::fx::FxSet::default();
+            seen.extend(self.column(c));
+            let mut words = seen.iter().copied();
+            let first = words.next().expect("a non-empty column");
+            let by_value = |a: &Val, b: &Val| dict.cmp_vals(*a, *b);
+            let (min, max) = words.fold((first, first), |(lo, hi), v| {
+                (
+                    std::cmp::min_by(lo, v, by_value),
+                    std::cmp::max_by(hi, v, by_value),
+                )
+            });
+            (seen.len(), min, max)
+        };
+        ColStats {
+            distinct,
+            min: Some(dict.decode(min)),
+            max: Some(dict.decode(max)),
+        }
+    }
+
+    /// The statistics of this merge result, derived from `old`'s (the
+    /// relation it was merged from, with statistics `prev`) and the
+    /// rows at `added_at`. `None` if a cached bound is not in `dict`.
+    fn carried_stats(
+        &self,
+        prev: &[ColStats],
+        old: &VRel,
+        added_at: &[usize],
+        dict: &Dict,
+        fresh_from: usize,
+    ) -> Option<Vec<ColStats>> {
+        let at = |r: usize, c: usize| self.data[r * self.arity + c];
+        let mut out = Vec::with_capacity(self.arity);
+        for (c, prev) in prev.iter().enumerate() {
+            if c == 0 {
+                // An added leading value is stored already exactly when
+                // a stored row sits next to its run of added rows with
+                // the same value: the sort makes equal values adjacent.
+                let mut new = 0;
+                let mut k = 0;
+                while k < added_at.len() {
+                    let (p, v) = (added_at[k], at(added_at[k], 0));
+                    let mut end = k + 1;
+                    while end < added_at.len()
+                        && added_at[end] == p + (end - k)
+                        && at(added_at[end], 0) == v
+                    {
+                        end += 1;
+                    }
+                    let next = p + (end - k);
+                    let stored =
+                        (p > 0 && at(p - 1, 0) == v) || (next < self.rows && at(next, 0) == v);
+                    new += usize::from(!stored);
+                    k = end;
                 }
                 out.push(ColStats {
-                    distinct: distinct.len(),
-                    min: min.map(|v| dict.decode(v)),
-                    max: max.map(|v| dict.decode(v)),
+                    distinct: prev.distinct + new,
+                    min: Some(dict.decode(at(0, 0))),
+                    max: Some(dict.decode(at(self.rows - 1, 0))),
                 });
+                continue;
             }
-            out
-        })
+            let word = |bound: &Option<Value>| match bound {
+                Some(v) => dict.lookup(v).map(Some),
+                None => Some(None),
+            };
+            let (mut lo, mut hi) = (word(&prev.min)?, word(&prev.max)?);
+            let mut fresh = crate::fx::FxSet::default();
+            let mut older = crate::fx::FxSet::default();
+            for &p in added_at {
+                let v = at(p, c);
+                if v.id().is_some_and(|id| id >= fresh_from) {
+                    fresh.insert(v);
+                } else {
+                    older.insert(v);
+                }
+                if lo.is_none_or(|m| dict.cmp_vals(v, m).is_lt()) {
+                    lo = Some(v);
+                }
+                if hi.is_none_or(|m| dict.cmp_vals(v, m).is_gt()) {
+                    hi = Some(v);
+                }
+            }
+            // A word older than the batch may be stored in this column
+            // already; one word-equality pass over it settles which.
+            if !older.is_empty() {
+                for v in old.column(c) {
+                    if older.remove(&v) && older.is_empty() {
+                        break;
+                    }
+                }
+            }
+            out.push(ColStats {
+                distinct: prev.distinct + fresh.len() + older.len(),
+                min: lo.map(|v| dict.decode(v)),
+                max: hi.map(|v| dict.decode(v)),
+            });
+        }
+        Some(out)
     }
 }
 

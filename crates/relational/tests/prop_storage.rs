@@ -3,9 +3,57 @@
 //! [`Value`] representation — ordering, equality, display, round-trips,
 //! and the on-disk JSON shape of a whole [`State`].
 
-use fq_relational::{Dict, OverlayDict, Schema, SharedOverlay, State, StateBuilder, VRel, Value};
+use fq_relational::{
+    ColStats, Dict, OverlayDict, Schema, SharedOverlay, SharedState, State, StateBuilder, VRel,
+    Value,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Per-column statistics computed the straightforward way — a SipHash
+/// set per column and a semantic min/max scan over every row. The
+/// oracle for `VRel::stats` and for the statistics batch merges carry.
+fn stats_oracle(rel: &VRel, dict: &Dict) -> Vec<ColStats> {
+    (0..rel.arity())
+        .map(|c| {
+            let mut distinct = std::collections::HashSet::new();
+            let mut min: Option<fq_relational::Val> = None;
+            let mut max: Option<fq_relational::Val> = None;
+            for row in rel.rows_iter() {
+                let v = row[c];
+                distinct.insert(v);
+                if min.is_none_or(|m| dict.cmp_vals(v, m).is_lt()) {
+                    min = Some(v);
+                }
+                if max.is_none_or(|m| dict.cmp_vals(v, m).is_gt()) {
+                    max = Some(v);
+                }
+            }
+            ColStats {
+                distinct: distinct.len(),
+                min: min.map(|v| dict.decode(v)),
+                max: max.map(|v| dict.decode(v)),
+            }
+        })
+        .collect()
+}
+
+/// A cell of a published row: an [`arb_value`] (small naturals, big
+/// naturals and short strings, all repeating often) or a string no
+/// earlier cell holds.
+#[derive(Clone, Debug)]
+enum Cell {
+    Old(Value),
+    Fresh,
+}
+
+fn arb_cell() -> impl Strategy<Value = Cell> {
+    prop_oneof![3 => arb_value().prop_map(Cell::Old), 1 => Just(Cell::Fresh)]
+}
+
+/// More fresh strings than the dictionary tail holds before it folds
+/// into the base (4096).
+const PAST_FOLD: usize = 4200;
 
 /// Mixed naturals (small, near the inline/interned boundary, and big)
 /// and short strings — every representation class of [`Val`].
@@ -98,11 +146,91 @@ proptest! {
         prop_assert_eq!(one_batch.rows(), by_insert.rows());
         prop_assert_eq!(one_batch.data(), by_insert.data());
         prop_assert_eq!(one_batch.stats(&dict), by_insert.stats(&dict));
-        // …and a merge of a batch into a non-empty store.
+        prop_assert_eq!(one_batch.stats(&dict).to_vec(), stats_oracle(&one_batch, &dict));
+        // …and a merge of a batch into a non-empty store, whose cached
+        // statistics the merge carries over.
         let cut = (split.min(corpus.len())) * 2;
         let mut merged = VRel::from_rows(2, flat[..cut].to_vec(), &dict);
+        merged.stats(&dict);
         merged.extend_from_sorted(flat[cut..].to_vec(), &dict);
         prop_assert_eq!(merged.data(), by_insert.data());
+        prop_assert_eq!(merged.stats(&dict).to_vec(), stats_oracle(&merged, &dict));
+    }
+
+    /// Any sequence of publishes through a `SharedState` — fresh and
+    /// repeated strings, big naturals, duplicates, several relations,
+    /// sometimes more fresh strings than the dictionary tail holds —
+    /// yields snapshots equal to a from-scratch bulk build of the same
+    /// rows in tuples, fingerprint, column statistics and snapshot
+    /// bytes, and never changes a snapshot pinned earlier.
+    #[test]
+    fn publishes_equal_bulk_builds(
+        batches in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(proptest::collection::vec(arb_cell(), 3), 0..10)),
+            1..8,
+        ),
+        past_fold_at in 0usize..64,
+    ) {
+        const RELS: [&str; 3] = ["A", "B", "C"];
+        let schema = Schema::new()
+            .with_relation("A", 1)
+            .with_relation("B", 2)
+            .with_relation("C", 3);
+        let shared = SharedState::new(State::new(schema.clone()));
+        let mut fresh = 0usize;
+        let mut fresh_str = || {
+            fresh += 1;
+            Value::Str(format!("fresh#{fresh}"))
+        };
+        let mut log: Vec<(&str, Vec<Value>)> = Vec::new();
+        let mut pinned = Vec::new();
+        for (k, (rel, rows)) in batches.iter().enumerate() {
+            let name = RELS[*rel];
+            let mut tuples: Vec<Vec<Value>> = rows
+                .iter()
+                .map(|row| {
+                    row[..=*rel]
+                        .iter()
+                        .map(|cell| match cell {
+                            Cell::Old(v) => v.clone(),
+                            Cell::Fresh => fresh_str(),
+                        })
+                        .collect()
+                })
+                .collect();
+            if k == past_fold_at {
+                let tail = tuples.last().cloned().unwrap_or_else(|| vec![Value::Nat(0); rel + 1]);
+                for _ in 0..PAST_FOLD {
+                    let mut t = tail.clone();
+                    t[*rel] = fresh_str();
+                    tuples.push(t);
+                }
+            }
+            log.extend(tuples.iter().map(|t| (name, t.clone())));
+            shared.ingest(name, tuples).unwrap();
+            let snap = shared.snapshot();
+            let mut builder = StateBuilder::new(schema.clone());
+            for (name, t) in &log {
+                builder.row_ref(name, t);
+            }
+            let bulk = builder.finish();
+            prop_assert_eq!(snap.state().as_ref(), &bulk);
+            prop_assert_eq!(snap.fingerprint(), bulk.fingerprint());
+            for name in RELS {
+                // Reading the statistics caches them, so the next
+                // publish carries them over instead of recomputing.
+                let stats = snap.column_stats(name).unwrap();
+                prop_assert_eq!(stats, bulk.column_stats(name).unwrap());
+                prop_assert_eq!(stats.to_vec(), stats_oracle(snap.vrel(name).unwrap(), snap.dict()));
+            }
+            let bytes = snap.snapshot_bytes();
+            prop_assert_eq!(&bytes, &bulk.snapshot_bytes());
+            pinned.push((snap, bulk, bytes));
+        }
+        for (snap, bulk, bytes) in &pinned {
+            prop_assert_eq!(snap.state().as_ref(), bulk);
+            prop_assert_eq!(&snap.snapshot_bytes(), bytes);
+        }
     }
 
     /// A `StateBuilder` bulk load equals the insert loop over the same

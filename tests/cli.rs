@@ -2,6 +2,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
 fn fq(args: &[&str]) -> (String, String, bool) {
@@ -16,9 +17,19 @@ fn fq(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn fathers_json() -> String {
-    let dir = std::env::temp_dir().join("fq-cli-test");
+/// A scratch directory private to one test of this run, emptied first.
+/// Tests run in parallel, so a fixture path shared between them would be
+/// rewritten while another test's `fq` subprocess is reading it.
+fn fixture_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fq-cli-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Write the three-tuple fathers state into `dir`; returns its path.
+fn fathers_json(dir: &Path) -> String {
+    std::fs::create_dir_all(dir).unwrap();
     let path = dir.join("fathers.json");
     std::fs::write(
         &path,
@@ -34,7 +45,7 @@ fn fathers_json() -> String {
 
 #[test]
 fn check_reports_safe_range() {
-    let state = fathers_json();
+    let state = fathers_json(&fixture_dir("check_reports_safe_range"));
     let (out, _, ok) = fq(&["check", &state, "exists y z. y != z & F(x,y) & F(x,z)"]);
     assert!(ok);
     assert!(out.contains("safe-range"));
@@ -45,7 +56,7 @@ fn check_reports_safe_range() {
 
 #[test]
 fn eval_prints_answer_table() {
-    let state = fathers_json();
+    let state = fathers_json(&fixture_dir("eval_prints_answer_table"));
     let (out, _, ok) = fq(&["eval", &state, "exists y. F(x, y) & F(y, z)"]);
     assert!(ok);
     assert!(out.contains("x\tz"));
@@ -54,7 +65,7 @@ fn eval_prints_answer_table() {
 
 #[test]
 fn safe_distinguishes_domains() {
-    let state = fathers_json();
+    let state = fathers_json(&fixture_dir("safe_distinguishes_domains"));
     let (out, _, ok) = fq(&["safe", &state, "!F(x, y)", "eq"]);
     assert!(ok, "{out}");
     assert!(out.contains("INFINITE"));
@@ -273,8 +284,7 @@ fn plan_json_is_machine_readable() {
 
 #[test]
 fn bad_schema_file_reports_both_parse_failures() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fixture_dir("bad_schema_file_reports_both_parse_failures");
     let path = dir.join("bad.json");
     std::fs::write(&path, r#"{"neither": "schema nor state"}"#).unwrap();
     let path = path.to_string_lossy().to_string();
@@ -292,8 +302,7 @@ fn bad_schema_file_reports_both_parse_failures() {
 
 #[test]
 fn malformed_arity_state_reports_diagnostic_not_panic() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = fixture_dir("malformed_arity_state_reports_diagnostic_not_panic");
     let path = dir.join("bad-arity.json");
     std::fs::write(
         &path,
@@ -328,9 +337,8 @@ fn explain_reports_storage_counters() {
 
 #[test]
 fn convert_round_trips_and_snapshot_loads_everywhere() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_in = fathers_json();
+    let dir = fixture_dir("convert_round_trips_and_snapshot_loads_everywhere");
+    let json_in = fathers_json(&dir);
     let snap = dir.join("fathers.fqsnap").to_string_lossy().to_string();
     let json_out = dir.join("fathers-back.json").to_string_lossy().to_string();
 
@@ -370,9 +378,8 @@ fn convert_round_trips_and_snapshot_loads_everywhere() {
 
 #[test]
 fn convert_diagnoses_future_version() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_in = fathers_json();
+    let dir = fixture_dir("convert_diagnoses_future_version");
+    let json_in = fathers_json(&dir);
     let snap = dir.join("future.fqsnap").to_string_lossy().to_string();
     let (_, err, ok) = fq(&["convert", &json_in, &snap]);
     assert!(ok, "{err}");
@@ -392,9 +399,8 @@ fn convert_diagnoses_future_version() {
 
 #[test]
 fn convert_diagnoses_truncated_snapshot() {
-    let dir = std::env::temp_dir().join("fq-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_in = fathers_json();
+    let dir = fixture_dir("convert_diagnoses_truncated_snapshot");
+    let json_in = fathers_json(&dir);
     let snap = dir.join("trunc.fqsnap").to_string_lossy().to_string();
     let (_, err, ok) = fq(&["convert", &json_in, &snap]);
     assert!(ok, "{err}");
@@ -472,7 +478,7 @@ fn durable_serve_survives_sigkill_with_identical_fingerprint() {
     let dir = std::env::temp_dir().join(format!("fq-cli-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data = dir.join("data").to_string_lossy().to_string();
-    let state = fathers_json();
+    let state = fathers_json(&dir);
 
     let mut serve = spawn_serve(&[&state, "--data-dir", &data, "--durability", "always"]);
     let ingested = serve_request(
@@ -537,7 +543,7 @@ fn durable_serve_survives_sigkill_with_identical_fingerprint() {
 /// plus structured fields — debuggable from the client side.
 #[test]
 fn serve_ingest_errors_are_structured_over_tcp() {
-    let state = fathers_json();
+    let state = fathers_json(&fixture_dir("serve_ingest_errors_are_structured_over_tcp"));
     let mut serve = spawn_serve(&[&state]);
     let response = serve_request(
         serve.port,
@@ -568,7 +574,7 @@ fn recover_compact_folds_the_log() {
     let dir = std::env::temp_dir().join(format!("fq-cli-compact-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data = dir.join("data").to_string_lossy().to_string();
-    let state = fathers_json();
+    let state = fathers_json(&dir);
 
     let mut serve = spawn_serve(&[&state, "--data-dir", &data]);
     for natural in [30, 31] {
