@@ -77,8 +77,13 @@ impl Value {
     /// Single-line rendering.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// [`Value::to_compact`], appended to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Two-space-indented rendering (the `serde_json::to_string_pretty`
@@ -94,7 +99,7 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Value::Int(n) => out.push_str(&n.to_string()),
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -122,7 +127,7 @@ impl Value {
                         out.push(',');
                     }
                     newline_indent(out, indent, level + 1);
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -145,21 +150,30 @@ fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal: quoted, with `"`, `\\` and the
+/// control characters escaped, everything else (non-ASCII included)
+/// verbatim.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    // Escapes are ASCII, so every cut between runs of verbatim bytes
+    // falls on a character boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => out.push_str(&format!("\\u{b:04x}")),
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -10,7 +10,7 @@ use crate::registry::{DomainId, DomainRegistry};
 use fq_core::answer::AnswerOutcome;
 use fq_engine::Engine;
 use fq_relational::{
-    translate_to_domain_formula, ExecOpts, OpStat, PhysicalPlan, Schema, Snapshot, State, Value,
+    translate_to_domain_formula, ExecOpts, OpStat, Schema, Snapshot, State, Value,
     DEFAULT_MORSEL_ROWS,
 };
 use std::cell::Cell;
@@ -188,7 +188,8 @@ impl Executor {
     }
 
     /// Stages 1–2, memoized: compile and plan, returning the plan and
-    /// whether it came from the `query.plan` cache.
+    /// whether it came from the `query.plan` cache. The cache shares one
+    /// `Arc` per entry, physical plans included, so a hit copies nothing.
     ///
     /// The key's state component is [`State::fingerprint`] — a cached
     /// 128-bit content hash — so a lookup costs O(1) in the state size
@@ -200,7 +201,7 @@ impl Executor {
         state: &State,
         source: &str,
         domain: DomainId,
-    ) -> Result<(PlannedQuery, bool), QueryError> {
+    ) -> Result<(Arc<PlannedQuery>, bool), QueryError> {
         let key = (
             domain,
             source.to_string(),
@@ -221,6 +222,7 @@ impl Executor {
                     ranf: self.ranf,
                 },
             )
+            .map(Arc::new)
         })?;
         if computed.get() {
             self.plan_misses.fetch_add(1, Ordering::Relaxed);
@@ -237,7 +239,8 @@ impl Executor {
         source: &str,
         domain: DomainId,
     ) -> Result<QueryOutcome, QueryError> {
-        self.execute_inner(state, source, domain, None)
+        self.execute_planned(state, source, domain, None)
+            .map(|(_, outcome)| outcome)
     }
 
     /// [`Executor::execute`] against a pinned [`Snapshot`]: the borrow
@@ -251,16 +254,29 @@ impl Executor {
         source: &str,
         domain: DomainId,
     ) -> Result<QueryOutcome, QueryError> {
-        self.execute_inner(snapshot, source, domain, Some(snapshot.epoch()))
+        self.explain_snapshot(snapshot, source, domain)
+            .map(|(_, outcome)| outcome)
     }
 
-    fn execute_inner(
+    /// [`Executor::execute_snapshot`] that also returns the plan it
+    /// executed — planned once, so the outcome's `plan_cached` tells
+    /// whether *this* call found the text in the cache.
+    pub fn explain_snapshot(
+        &self,
+        snapshot: &Snapshot,
+        source: &str,
+        domain: DomainId,
+    ) -> Result<(Arc<PlannedQuery>, QueryOutcome), QueryError> {
+        self.execute_planned(snapshot, source, domain, Some(snapshot.epoch()))
+    }
+
+    fn execute_planned(
         &self,
         state: &State,
         source: &str,
         domain: DomainId,
         snapshot_epoch: Option<u64>,
-    ) -> Result<QueryOutcome, QueryError> {
+    ) -> Result<(Arc<PlannedQuery>, QueryOutcome), QueryError> {
         let (planned, plan_cached) = self.plan(state, source, domain)?;
         let mut outcome = self.run(state, &planned)?;
         outcome.stats.plan_cached = plan_cached;
@@ -278,7 +294,7 @@ impl Executor {
         let (plan_hits, plan_misses) = self.plan_cache_stats();
         outcome.stats.plan_hits = plan_hits;
         outcome.stats.plan_misses = plan_misses;
-        Ok(outcome)
+        Ok((planned, outcome))
     }
 
     /// Convenience: decide a pure-domain sentence (no state).
@@ -312,112 +328,97 @@ impl Executor {
         let compiled = &planned.compiled;
         let vars = compiled.free_vars.clone();
         let mut operators = Vec::new();
-        let (rows, completeness) =
-            match &planned.plan {
-                QueryPlan::Algebra { optimized, .. } => {
-                    // The morsel fan-out self-disables on a 1-thread engine,
-                    // so this is exactly the sequential path by default.
-                    let report = PhysicalPlan::compile(optimized).execute_with_stats_on(
-                        state,
-                        &self.engine,
-                        ExecOpts {
-                            morsel_rows: self.morsel_rows,
-                        },
-                    );
-                    operators = report.operators;
-                    let rel = report.relation.reorder(&vars);
-                    (rel.tuples.into_iter().collect(), Completeness::Certified)
-                }
-                QueryPlan::Ranf {
-                    generator,
-                    restrictor,
-                    aux,
-                    ..
-                } => {
-                    // Both halves are ordinary safe-range algebra plans; they
-                    // run on the plan's extended state (the planned state
-                    // plus the auxiliary domain relations) with the same
-                    // morsel-parallel physical executor as the algebra
-                    // strategy. Per-half operator stats are prefixed so
-                    // `fq explain` can attribute cardinalities.
-                    let opts = ExecOpts {
-                        morsel_rows: self.morsel_rows,
-                    };
-                    let gen_report = PhysicalPlan::compile(&generator.optimized)
-                        .execute_with_stats_on(&aux.state, &self.engine, opts);
-                    let res_report = PhysicalPlan::compile(&restrictor.optimized)
-                        .execute_with_stats_on(&aux.state, &self.engine, opts);
-                    operators = gen_report
-                        .operators
-                        .into_iter()
-                        .map(|op| OpStat {
-                            op: format!("gen: {}", op.op),
-                            ..op
-                        })
-                        .chain(res_report.operators.into_iter().map(|op| OpStat {
-                            op: format!("res: {}", op.op),
-                            ..op
-                        }))
-                        .collect();
-                    let rows: Vec<_> = gen_report
-                        .relation
-                        .reorder(&vars)
-                        .tuples
-                        .into_iter()
-                        .collect();
-                    let restrictor_rows = res_report.relation.tuples.len();
-                    (
-                        rows,
-                        Completeness::CertifiedRanf {
-                            infinite: restrictor_rows > 0,
-                            restrictor_rows,
-                        },
-                    )
-                }
-                QueryPlan::ActiveDomain { .. } => {
-                    let rows = self
-                        .registry
-                        .eval_active(
-                            planned.domain,
-                            state,
-                            &compiled.normalized,
-                            &vars,
-                            &self.engine,
-                        )
-                        .map_err(QueryError::Eval)?;
-                    (rows, Completeness::Certified)
-                }
-                QueryPlan::EnumerateAndAsk { max_candidates, .. } => {
-                    let out = self.registry.answer(
+        let opts = ExecOpts {
+            morsel_rows: self.morsel_rows,
+        };
+        let (rows, completeness) = match &planned.plan {
+            QueryPlan::Algebra { physical, .. } => {
+                // The morsel fan-out self-disables on a 1-thread engine,
+                // so this is exactly the sequential path by default.
+                let (rows, ops) = physical.answer_on(state, &self.engine, opts, &vars);
+                operators = ops;
+                (rows, Completeness::Certified)
+            }
+            QueryPlan::Ranf {
+                generator,
+                restrictor,
+                aux,
+                ..
+            } => {
+                // Both halves are ordinary safe-range algebra plans; they
+                // run on the plan's extended state (the planned state
+                // plus the auxiliary domain relations) with the same
+                // morsel-parallel physical executor as the algebra
+                // strategy. Per-half operator stats are prefixed so
+                // `fq explain` can attribute cardinalities. Only the
+                // restrictor's row count matters: it is not decoded.
+                let (rows, gen_ops) =
+                    generator
+                        .physical
+                        .answer_on(&aux.state, &self.engine, opts, &vars);
+                let (restrictor_rows, res_ops) =
+                    restrictor.physical.count_on(&aux.state, &self.engine, opts);
+                let prefixed = |half: &'static str, ops: Vec<OpStat>| {
+                    ops.into_iter().map(move |op| OpStat {
+                        op: format!("{half}: {}", op.op),
+                        ..op
+                    })
+                };
+                operators = prefixed("gen", gen_ops)
+                    .chain(prefixed("res", res_ops))
+                    .collect();
+                (
+                    rows,
+                    Completeness::CertifiedRanf {
+                        infinite: restrictor_rows > 0,
+                        restrictor_rows,
+                    },
+                )
+            }
+            QueryPlan::ActiveDomain { .. } => {
+                let rows = self
+                    .registry
+                    .eval_active(
                         planned.domain,
                         state,
                         &compiled.normalized,
                         &vars,
-                        *max_candidates,
                         &self.engine,
-                    )?;
-                    match out {
-                        AnswerOutcome::Complete(rows) => (rows, Completeness::Certified),
-                        AnswerOutcome::BudgetExhausted {
-                            found,
+                    )
+                    .map_err(QueryError::Eval)?;
+                (rows, Completeness::Certified)
+            }
+            QueryPlan::EnumerateAndAsk { max_candidates, .. } => {
+                let out = self.registry.answer(
+                    planned.domain,
+                    state,
+                    &compiled.normalized,
+                    &vars,
+                    *max_candidates,
+                    &self.engine,
+                )?;
+                match out {
+                    AnswerOutcome::Complete(rows) => (rows, Completeness::Certified),
+                    AnswerOutcome::BudgetExhausted {
+                        found,
+                        candidates_tried,
+                    } => (
+                        found,
+                        Completeness::Partial {
                             candidates_tried,
-                        } => (
-                            found,
-                            Completeness::Partial {
-                                candidates_tried,
-                                max_candidates: *max_candidates,
-                            },
-                        ),
-                    }
+                            max_candidates: *max_candidates,
+                        },
+                    ),
                 }
-                QueryPlan::QeDecide { .. } => {
-                    let sentence = translate_to_domain_formula(&compiled.normalized, state);
-                    let value = self
-                        .registry
-                        .decide(planned.domain, &sentence, &self.engine)?;
-                    (Vec::new(), Completeness::Decided { value })
-                }
-            };
+            }
+            QueryPlan::QeDecide { .. } => {
+                let sentence = translate_to_domain_formula(&compiled.normalized, state);
+                let value = self
+                    .registry
+                    .decide(planned.domain, &sentence, &self.engine)?;
+                (Vec::new(), Completeness::Decided { value })
+            }
+        };
         Ok(QueryOutcome {
             vars,
             rows,

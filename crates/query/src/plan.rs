@@ -19,7 +19,7 @@ use fq_json::{ToJson, Value as Json};
 use fq_logic::Formula;
 use fq_relational::algebra::{compile as compile_algebra, AlgebraExpr};
 use fq_relational::optimize::optimize;
-use fq_relational::{ranf, State, Value};
+use fq_relational::{ranf, PhysicalPlan, State, Value};
 
 /// What the relative-safety precheck said about the answer in this
 /// state, before any enumeration started.
@@ -78,6 +78,8 @@ pub struct RanfHalf {
     pub expr: AlgebraExpr,
     /// The optimized expression the physical executor runs.
     pub optimized: AlgebraExpr,
+    /// `optimized`, compiled once and cached with the plan.
+    pub physical: PhysicalPlan,
     /// Optimizer rewrites applied.
     pub rewrites: Vec<String>,
 }
@@ -109,6 +111,8 @@ pub enum QueryPlan {
         /// equivalent to `expr` on every state (the optimizer preserves
         /// the tuple set and attribute order).
         optimized: AlgebraExpr,
+        /// `optimized`, compiled once and cached with the plan.
+        physical: PhysicalPlan,
         /// The rewrites applied, in order (plans are per-state, so
         /// state-statistics-driven decisions are cache-safe).
         rewrites: Vec<String>,
@@ -175,7 +179,8 @@ impl QueryPlan {
 }
 
 /// A compiled query with its chosen plan — the unit the executor runs
-/// and the plan cache stores.
+/// and the plan cache shares (as an `Arc`, so a cache hit copies
+/// nothing).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannedQuery {
     pub compiled: CompiledQuery,
@@ -377,6 +382,7 @@ pub fn plan_with(
                             let opt = optimize(&expr, state);
                             QueryPlan::Algebra {
                                 expr,
+                                physical: PhysicalPlan::compile(&opt.expr),
                                 optimized: opt.expr,
                                 rewrites: opt.rewrites,
                                 justification:
@@ -468,6 +474,7 @@ fn try_ranf(
         Some(RanfHalf {
             formula,
             expr,
+            physical: PhysicalPlan::compile(&opt.expr),
             optimized: opt.expr,
             rewrites: opt.rewrites,
         })

@@ -76,29 +76,15 @@ impl QueryService {
     /// Handle one request line, returning one response line (no
     /// trailing newline). Never panics on malformed input.
     pub fn handle_line(&self, line: &str) -> String {
-        let response = match self.handle(line) {
-            Ok(fields) => {
-                let mut members = vec![("ok".to_string(), Json::Bool(true))];
-                if let Json::Object(fields) = fields {
-                    members.extend(fields);
-                }
-                Json::Object(members)
-            }
-            Err(error) => {
-                // The error payload always carries `error` (the
-                // diagnostic, verbatim) and may carry structured fields
-                // (`error_kind`, the offending relation/arity, …).
-                let mut members = vec![("ok".to_string(), Json::Bool(false))];
-                if let Json::Object(fields) = error {
-                    members.extend(fields);
-                }
-                Json::Object(members)
-            }
-        };
-        response.to_compact()
+        // The error payload always carries `error` (the diagnostic,
+        // verbatim) and may carry structured fields (`error_kind`, the
+        // offending relation/arity, …).
+        self.handle(line)
+            .unwrap_or_else(|error| response_line(false, &error))
     }
 
-    fn handle(&self, line: &str) -> Result<Json, Json> {
+    /// The whole response line on success, the error payload otherwise.
+    fn handle(&self, line: &str) -> Result<String, Json> {
         let request =
             fq_json::parse(line).map_err(|e| err_text(format!("malformed request: {e}")))?;
         let cmd = request
@@ -107,9 +93,13 @@ impl QueryService {
             .ok_or_else(|| err_text("missing `cmd`"))?;
         match cmd {
             "query" => self.handle_query(&request),
-            "explain" => self.handle_explain(&request),
-            "ingest" => self.handle_ingest(&request),
-            "snapshot-info" => Ok(self.snapshot_info()),
+            "explain" => self
+                .handle_explain(&request)
+                .map(|f| response_line(true, &f)),
+            "ingest" => self
+                .handle_ingest(&request)
+                .map(|f| response_line(true, &f)),
+            "snapshot-info" => Ok(response_line(true, &self.snapshot_info())),
             other => Err(err_text(format!(
                 "unknown cmd `{other}` (expected query|explain|ingest|snapshot-info)"
             ))),
@@ -131,34 +121,44 @@ impl QueryService {
         Ok((source, domain))
     }
 
-    fn handle_query(&self, request: &Json) -> Result<Json, Json> {
+    /// The `query` response, with the answer rows written straight into
+    /// the line (no JSON node per cell).
+    fn handle_query(&self, request: &Json) -> Result<String, Json> {
         let (source, domain) = self.query_and_domain(request)?;
         let snapshot = self.shared.snapshot();
         let out = self
             .executor
             .execute_snapshot(&snapshot, &source, domain)
             .map_err(|e: QueryError| err_text(e))?;
-        Ok(fq_json::object([
-            ("epoch", snapshot.epoch().to_json()),
-            ("domain", domain.key().to_json()),
-            ("strategy", out.plan.strategy().to_json()),
-            ("vars", out.vars.to_json()),
-            ("rows", out.rows.to_json()),
-            ("completeness", completeness_json(&out.completeness)),
-            ("plan_cached", out.stats.plan_cached.to_json()),
-        ]))
+        let mut response = String::from("{\"ok\":true");
+        push_members(
+            &mut response,
+            &fq_json::object([
+                ("epoch", snapshot.epoch().to_json()),
+                ("domain", domain.key().to_json()),
+                ("strategy", out.plan.strategy().to_json()),
+                ("vars", out.vars.to_json()),
+            ]),
+        );
+        response.push_str(",\"rows\":");
+        fq_relational::write_rows_json(&mut response, &out.rows);
+        push_members(
+            &mut response,
+            &fq_json::object([
+                ("completeness", completeness_json(&out.completeness)),
+                ("plan_cached", out.stats.plan_cached.to_json()),
+            ]),
+        );
+        response.push('}');
+        Ok(response)
     }
 
     fn handle_explain(&self, request: &Json) -> Result<Json, Json> {
         let (source, domain) = self.query_and_domain(request)?;
         let snapshot = self.shared.snapshot();
-        let (planned, _) = self
+        let (planned, out) = self
             .executor
-            .plan(&snapshot, &source, domain)
-            .map_err(err_text)?;
-        let out = self
-            .executor
-            .execute_snapshot(&snapshot, &source, domain)
+            .explain_snapshot(&snapshot, &source, domain)
             .map_err(err_text)?;
         Ok(fq_json::object([
             ("epoch", snapshot.epoch().to_json()),
@@ -216,6 +216,25 @@ impl QueryService {
             }
         }
         info
+    }
+}
+
+/// `{"ok":<ok>` plus `fields`' members: one response line.
+fn response_line(ok: bool, fields: &Json) -> String {
+    let mut response = format!("{{\"ok\":{ok}");
+    push_members(&mut response, fields);
+    response.push('}');
+    response
+}
+
+/// Append an object's members, each after a comma, to an open compact
+/// JSON object (a non-object appends nothing).
+fn push_members(out: &mut String, fields: &Json) {
+    for (key, value) in fields.as_object().unwrap_or_default() {
+        out.push(',');
+        fq_json::write_str(out, key);
+        out.push(':');
+        value.write_compact(out);
     }
 }
 
@@ -558,6 +577,74 @@ mod tests {
             assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
             assert!(json.get("error").is_some(), "{bad}");
         }
+    }
+
+    #[test]
+    fn query_lines_match_the_json_tree_encoding() {
+        let schema = Schema::new().with_relation("F", 2);
+        let state = State::new(schema)
+            .with_tuple(
+                "F",
+                vec![Value::Nat(u64::MAX), Value::Str("a\"b\\c".into())],
+            )
+            .with_tuple("F", vec![Value::Nat(1), Value::Str("tab\t✓\u{1}".into())])
+            .with_tuple("F", vec![Value::Nat(1), Value::Str(String::new())]);
+        let svc = QueryService::new(Arc::new(SharedState::new(state)), Executor::default());
+        for query in [
+            "F(x, y)",
+            "F(y, x)",
+            "exists y. F(x, y)",
+            "F(1, y)",
+            "F(7, y)",
+        ] {
+            let line = format!(r#"{{"cmd":"query","query":{query:?},"domain":"eq"}}"#);
+            svc.handle_line(&line);
+            let direct = svc.handle_line(&line);
+            // The tree the response was built from before rows were
+            // written directly.
+            let snapshot = svc.shared().snapshot();
+            let out = svc
+                .executor()
+                .execute_snapshot(&snapshot, query, DomainId::Eq)
+                .unwrap();
+            let tree = Json::Object(vec![
+                ("ok".to_string(), Json::Bool(true)),
+                ("epoch".to_string(), snapshot.epoch().to_json()),
+                ("domain".to_string(), "eq".to_json()),
+                ("strategy".to_string(), out.plan.strategy().to_json()),
+                ("vars".to_string(), out.vars.to_json()),
+                ("rows".to_string(), out.rows.to_json()),
+                (
+                    "completeness".to_string(),
+                    completeness_json(&out.completeness),
+                ),
+                ("plan_cached".to_string(), out.stats.plan_cached.to_json()),
+            ]);
+            assert_eq!(direct, tree.to_compact(), "{query}");
+        }
+    }
+
+    #[test]
+    fn a_first_explain_reports_a_plan_cache_miss() {
+        let svc = service();
+        let line = r#"{"cmd":"explain","query":"exists y. F(x, y)","domain":"eq"}"#;
+        let stats = |response: String| {
+            let stats = fq_json::parse(&response)
+                .unwrap()
+                .get("stats")
+                .unwrap()
+                .clone();
+            let field = |k: &str| stats.get(k).unwrap().clone();
+            (
+                field("plan_cached"),
+                field("plan_hits"),
+                field("plan_misses"),
+            )
+        };
+        let first = stats(svc.handle_line(line));
+        assert_eq!(first, (Json::Bool(false), Json::Int(0), Json::Int(1)));
+        let again = stats(svc.handle_line(line));
+        assert_eq!(again, (Json::Bool(true), Json::Int(1), Json::Int(1)));
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub use ranf::{RanfIneligible, RanfTranslation};
 pub use safe_range::is_safe_range;
 pub use schema::Schema;
 pub use snapshot::{SharedState, Snapshot};
-pub use state::{State, StateBuilder, StateError, Value};
+pub use state::{write_rows_json, State, StateBuilder, StateError, Value};
 pub use translate::translate_to_domain_formula;
 pub use val::{ColStats, Dict, OverlayDict, SharedOverlay, SortKeys, VRel, Val};
 pub use wal::{Durability, Recovery, Wal, WalInfo, WalOptions, DELTA_FORMAT_ID};

@@ -9,25 +9,52 @@
 //! * **hash join** — build a hash table keyed on bare `u64` words (a
 //!   single-word fast path for one-column keys) over the smaller input
 //!   and probe with the larger, with no per-probe allocation or string
-//!   hashing;
+//!   hashing (strings are interned to one-word ids, so string keys take
+//!   the single-`u64` path at the same cost as naturals);
 //! * **streaming select/project/extend** — no intermediate
 //!   materialization; duplicates are eliminated only where they can
 //!   arise (narrowing projections and unions), so every stream stays
 //!   duplicate-free and operator row counts equal logical cardinalities;
-//! * **zero-copy memoized base scans** — a scan *borrows* the
-//!   relation's flat columnar store (copy-on-write streams), so even a
-//!   million-row string relation enters the plan without copying a
-//!   word, and a relation referenced twice resolves to the same
-//!   borrowed stream. String join keys need no extra fast path: strings
-//!   are interned to one-word ids, so the single-`u64` key path below
-//!   covers them at the same cost as naturals.
+//! * **atom access paths** — the `Project(Extend*(Select*(Base)))`
+//!   chain the Codd translation emits for one atom folds into a single
+//!   scan operator holding the relation's column indexes, its equality
+//!   constants and its output columns. A [`VRel`] is
+//!   sorted and duplicate-free with the first column leading, so the
+//!   scan reads only what the constants select (the simplest form of
+//!   the sorted-trie access of Leapfrog Triejoin):
+//!   - *seek* — constants on a leading column prefix become one
+//!     binary-search row range over the borrowed column store;
+//!   - *skip-scan* — constants on the columns after one unbound column
+//!     become one seek per distinct value of that column, chosen only
+//!     when the relation's column statistics say that reads less than
+//!     scanning the range;
+//!   - *run-scan* — a projection that drops only constant-fixed columns
+//!     needs no dedup, and one onto a column prefix dedups by adjacency
+//!     (galloping over runs of equal prefixes when nothing else filters)
+//!     instead of through a hash set.
+//!
+//!   Conditions the range cannot answer filter it, morsel-parallel. A
+//!   scan with no constants, conditions or projection borrows the store
+//!   without copying a word. Its [`OpStat`] counts the rows it *read*:
+//!   the range rows, or one per run when galloping.
 //!
 //! Plans are state-independent, so plan constants stay as [`Value`]s and
 //! are encoded per execution through an [`OverlayDict`] (query constants
-//! need not exist in the state's dictionary). The final result decodes
-//! into the same `BTreeSet`-backed [`Relation`] the naive
-//! [`AlgebraExpr::eval`] produces, so the two backends are bit-identical
-//! (attribute order included).
+//! need not exist in the state's dictionary; an equality constant the
+//! dictionary never interned empties a scan without reading it).
+//!
+//! # The answer edge
+//!
+//! Execution ends in one duplicate-free word stream. Its consumer
+//! decides how far to decode it: [`PhysicalPlan::answer_on`] permutes
+//! it to the caller's variable order, sorts it by the dictionary's
+//! semantic order (overlay constants included) only when it is not
+//! already sorted, and decodes each word exactly once;
+//! [`PhysicalPlan::count_on`] reads its length and decodes nothing; and
+//! [`PhysicalPlan::execute_with_stats_on`] decodes it into the
+//! `BTreeSet`-backed [`Relation`] the naive [`AlgebraExpr::eval`]
+//! produces, so the backends compare bit for bit (attribute order
+//! included).
 //!
 //! # Morsel-driven parallelism
 //!
@@ -51,9 +78,11 @@
 use crate::algebra::{AlgebraExpr, Condition, Relation};
 use crate::fx::{self, FxHasher, FxMap, FxSet};
 use crate::state::{State, Tuple, Value};
-use crate::val::{OverlayDict, Val};
+use crate::val::{Dict, OverlayDict, VRel, Val};
 use fq_engine::Engine;
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
 /// Default rows per morsel: large enough that per-morsel overhead (one
@@ -78,9 +107,12 @@ impl Default for ExecOpts {
     }
 }
 
-/// Per-operator execution statistics: a rendered operator label, the
-/// number of (duplicate-free) rows it produced, and how many morsels its
-/// input was split into (1 when the operator ran sequentially).
+/// Per-operator execution statistics: a rendered operator label, a row
+/// count, and how many morsels its input was split into (1 when the
+/// operator ran sequentially). The row count is the number of
+/// (duplicate-free) rows the operator produced — except for scans,
+/// whose label starts with `scan <relation>` and whose count is the
+/// number of stored rows they read.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpStat {
     pub op: String,
@@ -99,7 +131,7 @@ pub struct ExecReport {
 /// A column-index-resolved selection condition. Constants stay decoded
 /// so the plan remains state-independent; they are resolved to words at
 /// execution time.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum PCond {
     EqCol(usize, usize),
     NeqCol(usize, usize),
@@ -147,13 +179,25 @@ impl RCond {
     }
 }
 
+/// One atom's read of a stored relation: the folded
+/// `Project(Extend*(Select*(Base)))` chain, every reference resolved to
+/// a column of the relation.
+#[derive(Clone, Debug, PartialEq)]
+struct AtomScan {
+    name: String,
+    /// Equality constants, by column.
+    consts: Vec<(usize, Value)>,
+    /// The other conditions.
+    conds: Vec<PCond>,
+    /// Output columns; a column may appear more than once.
+    out: Vec<usize>,
+}
+
 /// A physical operator. Attribute names are gone; every reference is a
 /// column index into the input stream's rows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 enum PNode {
-    Scan {
-        name: String,
-    },
+    Scan(AtomScan),
     Empty,
     Singleton {
         tuple: Tuple,
@@ -200,7 +244,7 @@ enum PNode {
 
 /// A compiled physical plan. State-independent: the same plan can run
 /// against any state of the scheme.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhysicalPlan {
     root: PNode,
     attrs: Vec<String>,
@@ -223,7 +267,7 @@ impl PhysicalPlan {
 
     /// Execute and report per-operator row counts (sequential path).
     pub fn execute_with_stats(&self, state: &State) -> ExecReport {
-        self.exec(state, None, ExecOpts::default())
+        self.report(state, None, ExecOpts::default())
     }
 
     /// Execute morsel-driven on `engine`'s worker pool. Output is
@@ -240,34 +284,96 @@ impl PhysicalPlan {
         engine: &Engine,
         opts: ExecOpts,
     ) -> ExecReport {
-        self.exec(state, Some(engine), opts)
+        self.report(state, Some(engine), opts)
     }
 
-    fn exec(&self, state: &State, eng: Option<&Engine>, opts: ExecOpts) -> ExecReport {
-        assert!(opts.morsel_rows > 0, "morsel size must be positive");
-        let mut cx = ExecContext {
-            state,
-            overlay: OverlayDict::new(state.dict()),
-            scans: HashMap::new(),
-            stats: Vec::new(),
-            eng,
-            morsel_rows: opts.morsel_rows,
-        };
-        let out = run(&self.root, &mut cx);
-        // Decoding sorts implicitly: the `BTreeSet` restores the
-        // canonical tuple order regardless of stream order.
-        let tuples: BTreeSet<Tuple> = out
-            .rows()
-            .map(|row| row.iter().map(|&v| cx.overlay.decode(v)).collect())
-            .collect();
+    /// Execute and return the answer with its columns in `vars` order
+    /// (each must be an output attribute), sorted in the semantic tuple
+    /// order and decoded once — the tuples of
+    /// `execute_on(..).reorder(vars)`, in the same order.
+    pub fn answer_on(
+        &self,
+        state: &State,
+        engine: &Engine,
+        opts: ExecOpts,
+        vars: &[String],
+    ) -> (Vec<Tuple>, Vec<OpStat>) {
+        let idx: Vec<usize> = vars.iter().map(|v| col(&self.attrs, v)).collect();
+        self.exec(state, Some(engine), opts, |s, overlay| {
+            answer_rows(s, &idx, overlay)
+        })
+    }
+
+    /// Execute and return only the number of answer rows, decoding
+    /// nothing.
+    pub fn count_on(&self, state: &State, engine: &Engine, opts: ExecOpts) -> (usize, Vec<OpStat>) {
+        self.exec(state, Some(engine), opts, |s, _| s.rows)
+    }
+
+    fn report(&self, state: &State, eng: Option<&Engine>, opts: ExecOpts) -> ExecReport {
+        let (tuples, operators) = self.exec(state, eng, opts, |s, overlay| {
+            s.rows()
+                .map(|row| row.iter().map(|&v| overlay.decode(v)).collect())
+                .collect::<BTreeSet<Tuple>>()
+        });
         ExecReport {
             relation: Relation {
                 attrs: self.attrs.clone(),
                 tuples,
             },
-            operators: cx.stats,
+            operators,
         }
     }
+
+    /// Run the plan and hand the root word stream, with the overlay its
+    /// words decode through, to `finish`.
+    fn exec<R>(
+        &self,
+        state: &State,
+        eng: Option<&Engine>,
+        opts: ExecOpts,
+        finish: impl FnOnce(&VStream<'_>, &OverlayDict<'_>) -> R,
+    ) -> (R, Vec<OpStat>) {
+        assert!(opts.morsel_rows > 0, "morsel size must be positive");
+        let mut cx = ExecContext {
+            state,
+            overlay: OverlayDict::new(state.dict()),
+            stats: Vec::new(),
+            eng,
+            morsel_rows: opts.morsel_rows,
+        };
+        let out = run(&self.root, &mut cx);
+        (finish(&out, &cx.overlay), cx.stats)
+    }
+}
+
+/// The answer edge: the root stream's rows permuted by `idx`, sorted in
+/// semantic order unless they already are, each word decoded once.
+fn answer_rows(s: &VStream<'_>, idx: &[usize], overlay: &OverlayDict<'_>) -> Vec<Tuple> {
+    let k = idx.len();
+    if k == 0 {
+        // A zero-arity stream holds at most the one empty tuple.
+        return vec![Vec::new(); s.rows.min(1)];
+    }
+    let identity = idx.iter().copied().eq(0..s.arity);
+    let words: Cow<'_, [Val]> = if identity {
+        Cow::Borrowed(&s.data)
+    } else {
+        s.rows()
+            .flat_map(|row| idx.iter().map(move |&i| row[i]))
+            .collect()
+    };
+    let row = |i: usize| &words[i * k..(i + 1) * k];
+    let decode = |i: usize| -> Tuple { row(i).iter().map(|&v| overlay.decode(v)).collect() };
+    let in_order = |i: usize| overlay.cmp_rows(row(i - 1), row(i)) == Ordering::Less;
+    if (s.sorted && identity) || (1..s.rows).all(in_order) {
+        return (0..s.rows).map(decode).collect();
+    }
+    let mut order: Vec<usize> = (0..s.rows).collect();
+    order.sort_unstable_by(|&a, &b| overlay.cmp_rows(row(a), row(b)));
+    // Only a narrowing `idx` can make rows equal.
+    order.dedup_by(|a, b| row(*a) == row(*b));
+    order.into_iter().map(decode).collect()
 }
 
 fn col(attrs: &[String], attr: &str) -> usize {
@@ -277,24 +383,65 @@ fn col(attrs: &[String], attr: &str) -> usize {
         .unwrap_or_else(|| panic!("attribute `{attr}` not in {attrs:?}"))
 }
 
-fn lower(expr: &AlgebraExpr) -> PNode {
+/// Resolve a condition's attributes to columns through `col_of`.
+fn pcond(cond: &Condition, col_of: impl Fn(&str) -> usize) -> PCond {
+    match cond {
+        Condition::EqAttr(a, b) => PCond::EqCol(col_of(a), col_of(b)),
+        Condition::NeqAttr(a, b) => PCond::NeqCol(col_of(a), col_of(b)),
+        Condition::EqConst(a, v) => PCond::EqConst(col_of(a), v.clone()),
+        Condition::NeqConst(a, v) => PCond::NeqConst(col_of(a), v.clone()),
+    }
+}
+
+/// Fold a chain of selections, extensions and projections over one base
+/// relation into an [`AtomScan`]; `None` for any other shape.
+fn fold_atom(expr: &AlgebraExpr) -> Option<AtomScan> {
     match expr {
-        AlgebraExpr::Base { name, .. } => PNode::Scan { name: name.clone() },
+        AlgebraExpr::Base { name, attrs } => Some(AtomScan {
+            name: name.clone(),
+            consts: Vec::new(),
+            conds: Vec::new(),
+            out: (0..attrs.len()).collect(),
+        }),
+        AlgebraExpr::Select(e, cond) => {
+            let mut atom = fold_atom(e)?;
+            let attrs = e.attrs();
+            match pcond(cond, |a| atom.out[col(&attrs, a)]) {
+                PCond::EqConst(c, v) => atom.consts.push((c, v)),
+                other => atom.conds.push(other),
+            }
+            Some(atom)
+        }
+        AlgebraExpr::Extend(e, _, src) => {
+            let mut atom = fold_atom(e)?;
+            atom.out.push(atom.out[col(&e.attrs(), src)]);
+            Some(atom)
+        }
+        AlgebraExpr::Project(e, attrs) => {
+            let mut atom = fold_atom(e)?;
+            let in_attrs = e.attrs();
+            atom.out = attrs.iter().map(|a| atom.out[col(&in_attrs, a)]).collect();
+            Some(atom)
+        }
+        _ => None,
+    }
+}
+
+fn lower(expr: &AlgebraExpr) -> PNode {
+    if let Some(atom) = fold_atom(expr) {
+        return PNode::Scan(atom);
+    }
+    match expr {
+        AlgebraExpr::Base { .. } => unreachable!("a base relation always folds into a scan"),
         AlgebraExpr::Empty(_) => PNode::Empty,
         AlgebraExpr::Singleton(cols) => PNode::Singleton {
             tuple: cols.iter().map(|(_, v)| v.clone()).collect(),
         },
         AlgebraExpr::Select(e, cond) => {
             let attrs = e.attrs();
-            let cond = match cond {
-                Condition::EqAttr(a, b) => PCond::EqCol(col(&attrs, a), col(&attrs, b)),
-                Condition::NeqAttr(a, b) => PCond::NeqCol(col(&attrs, a), col(&attrs, b)),
-                Condition::EqConst(a, v) => PCond::EqConst(col(&attrs, a), v.clone()),
-                Condition::NeqConst(a, v) => PCond::NeqConst(col(&attrs, a), v.clone()),
-            };
             PNode::Filter {
                 input: Box::new(lower(e)),
-                cond,
+                cond: pcond(cond, |a| col(&attrs, a)),
             }
         }
         AlgebraExpr::Project(e, attrs) => {
@@ -366,17 +513,20 @@ fn lower(expr: &AlgebraExpr) -> PNode {
 /// A flat, arity-strided stream of word rows. `rows` is explicit so
 /// zero-arity streams (sentence subplans) keep their cardinality.
 ///
-/// `data` is copy-on-write over the executed state's lifetime: base
-/// scans *borrow* the [`VRel`](crate::VRel)'s flat store directly (a
-/// million-row string relation scans without copying a word — cloning a
-/// borrowed stream for the scan memo is O(1)), while operators build
-/// owned buffers. `to_mut` never actually clones in practice because
-/// rows are only pushed into streams born owned.
+/// `data` is copy-on-write over the executed state's lifetime: a scan
+/// that reads whole rows of one range *borrows* the
+/// [`VRel`]'s flat store directly (a million-row string
+/// relation scans without copying a word), while operators build owned
+/// buffers. `to_mut` never actually clones in practice because rows are
+/// only pushed into streams born owned.
 #[derive(Clone, Debug)]
 struct VStream<'a> {
     arity: usize,
     rows: usize,
-    data: std::borrow::Cow<'a, [Val]>,
+    data: Cow<'a, [Val]>,
+    /// Known to be strictly increasing in semantic order (set by scans
+    /// whose output keeps the relation's order; `false` means unknown).
+    sorted: bool,
 }
 
 impl<'a> VStream<'a> {
@@ -384,7 +534,8 @@ impl<'a> VStream<'a> {
         VStream {
             arity,
             rows: 0,
-            data: std::borrow::Cow::Owned(Vec::new()),
+            data: Cow::Owned(Vec::new()),
+            sorted: false,
         }
     }
 
@@ -393,7 +544,8 @@ impl<'a> VStream<'a> {
         VStream {
             arity,
             rows,
-            data: std::borrow::Cow::Owned(data),
+            data: Cow::Owned(data),
+            sorted: false,
         }
     }
 
@@ -429,8 +581,6 @@ struct ExecContext<'a> {
     /// Query constants absent from the state dictionary get overlay ids,
     /// so singleton tuples and filter constants share the word space.
     overlay: OverlayDict<'a>,
-    /// Base relations materialized in this execution, by name.
-    scans: HashMap<String, VStream<'a>>,
     stats: Vec<OpStat>,
     /// Worker pool for morsel fan-out; `None` runs fully sequential.
     eng: Option<&'a Engine>,
@@ -480,6 +630,323 @@ where
     (stitch(parts, out_arity), n)
 }
 
+/// A seek probe — a semantic comparison through the dictionary — costs
+/// about as much as scanning this many rows. The skip-scan choice
+/// weighs its probes with it.
+const SEEK_PROBE_ROWS: usize = 8;
+
+/// How a scan drops the duplicates its projection can create.
+#[derive(Clone, Copy, PartialEq)]
+enum Dedup {
+    /// The output determines the stored row: no duplicates.
+    None,
+    /// The output, with the constant-fixed columns, is the column
+    /// prefix of this length: equal outputs are adjacent.
+    Runs(usize),
+    /// Anything else: a hash set.
+    Hash,
+}
+
+/// Read an atom through its relation's sort order (see the module
+/// docs), and record its [`OpStat`].
+fn scan<'a>(atom: &AtomScan, cx: &mut ExecContext<'a>) -> VStream<'a> {
+    let state = cx.state;
+    let k = atom.out.len();
+    let rel = state.vrel(&atom.name);
+    let arity = rel.map_or(0, VRel::arity);
+    // Resolve the equality constants. One no stored row can hold — never
+    // interned, or two different constants on one column — empties the
+    // scan before it reads a row.
+    let mut eq: Vec<Option<Val>> = vec![None; arity];
+    let mut satisfiable = true;
+    for (c, v) in &atom.consts {
+        match state.dict().lookup(v) {
+            Some(w) if eq[*c].is_none_or(|e| e == w) => eq[*c] = Some(w),
+            _ => satisfiable = false,
+        }
+    }
+    let Some(rel) = rel.filter(|_| satisfiable) else {
+        cx.stats.push(OpStat {
+            op: format!("scan {}", atom.name),
+            rows: 0,
+            morsels: 1,
+        });
+        return VStream::empty(k);
+    };
+    let dict = state.dict();
+    let mut path = Vec::new();
+
+    // Seek: constants on the leading columns narrow one row range.
+    let seek = eq.iter().take_while(|w| w.is_some()).count();
+    let (mut lo, mut hi) = (0, rel.rows());
+    for (c, w) in eq[..seek].iter().enumerate() {
+        (lo, hi) = seek_range(rel, dict, lo, hi, c, w.expect("seek column"));
+    }
+    if seek > 0 {
+        path.push(format!("seek {seek} col"));
+    }
+    // Skip-scan: constants after the next, unbound column become one
+    // seek per distinct value of that column.
+    let after = eq
+        .get(seek + 1..)
+        .map_or(0, |rest| rest.iter().take_while(|w| w.is_some()).count());
+    let skip = after > 0 && {
+        let stats = state.column_stats(&atom.name).expect("stored relation");
+        skip_pays(stats[seek].distinct.min(hi - lo), after, hi - lo)
+    };
+    let mut ranges = Vec::new();
+    let sought = if skip {
+        path.push(format!("skip-scan col {seek}, seek {after} col"));
+        let sought = seek + 1 + after;
+        let mut i = lo;
+        while i < hi {
+            let v = rel.row(i)[seek];
+            let end = gallop(i, hi, |r| rel.row(r)[seek] == v);
+            let (mut a, mut b) = (i, end);
+            for (c, w) in eq.iter().enumerate().take(sought).skip(seek + 1) {
+                (a, b) = seek_range(rel, dict, a, b, c, w.expect("seek column"));
+            }
+            if a < b {
+                ranges.push((a, b));
+            }
+            i = end;
+        }
+        sought
+    } else {
+        if lo < hi {
+            ranges.push((lo, hi));
+        }
+        seek
+    };
+    let range_rows: usize = ranges.iter().map(|(a, b)| b - a).sum();
+
+    // What the ranges cannot answer filters them.
+    let mut conds: Vec<RCond> = (sought..arity)
+        .filter_map(|c| eq[c].map(|w| RCond::EqWord(c, w)))
+        .collect();
+    conds.extend(
+        atom.conds
+            .iter()
+            .map(|c| RCond::resolve(c, &cx.overlay))
+            .filter(|c| !matches!(c, RCond::KeepAll)),
+    );
+    if !conds.is_empty() {
+        path.push("filter".to_string());
+    }
+
+    // The projection's dedup: the columns the output keeps or a
+    // constant fixes, closed under column equalities, determine the
+    // rest or not.
+    let known = |c: usize| eq[c].is_some() || atom.out.contains(&c);
+    let mut determined: Vec<bool> = (0..arity).map(known).collect();
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for cond in &atom.conds {
+            if let PCond::EqCol(i, j) = *cond {
+                if determined[i] != determined[j] {
+                    (determined[i], determined[j]) = (true, true);
+                    grew = true;
+                }
+            }
+        }
+    }
+    let key = atom.out.iter().max().map_or(0, |&c| c + 1);
+    let prefix = (0..key).all(known);
+    let dedup = if determined.iter().all(|&d| d) {
+        Dedup::None
+    } else if prefix {
+        Dedup::Runs(key)
+    } else {
+        Dedup::Hash
+    };
+    if !atom.out.iter().copied().eq(0..arity) {
+        path.push(
+            match dedup {
+                Dedup::None => "project",
+                Dedup::Runs(_) => "run-scan",
+                Dedup::Hash => "dedup",
+            }
+            .to_string(),
+        );
+    }
+
+    let (mut out, read, morsels) = if k == 0 {
+        // Zero arity: the one empty tuple, if any row qualifies.
+        let any = ranges
+            .iter()
+            .any(|&(a, b)| (a..b).any(|r| conds.iter().all(|c| c.keep(rel.row(r)))));
+        let mut out = VStream::empty(0);
+        out.rows = usize::from(any);
+        (out, range_rows, 1)
+    } else if let (Dedup::Runs(p), true) = (dedup, conds.is_empty()) {
+        // Gallop from each run of equal prefixes to the next.
+        let mut data = Vec::new();
+        let mut runs = 0;
+        for &(a, b) in &ranges {
+            let mut i = a;
+            while i < b {
+                let head = rel.row(i);
+                data.extend(atom.out.iter().map(|&c| head[c]));
+                runs += 1;
+                i = gallop(i + 1, b, |r| rel.row(r)[..p] == head[..p]);
+            }
+        }
+        (VStream::owned(k, runs, data), runs, 1)
+    } else if dedup == Dedup::Hash {
+        let all: Vec<usize> = (0..arity).collect();
+        let (kept, m) = filter_ranges(rel, &ranges, &conds, &all, false, cx);
+        let (out, m2) = project_dedup(&kept, &atom.out, cx);
+        (out, range_rows, m.max(m2))
+    } else {
+        let adjacent = matches!(dedup, Dedup::Runs(_));
+        let (out, m) = filter_ranges(rel, &ranges, &conds, &atom.out, adjacent, cx);
+        (out, range_rows, m)
+    };
+    let op = if path.is_empty() {
+        format!("scan {}", atom.name)
+    } else {
+        format!("scan {} ({})", atom.name, path.join(", "))
+    };
+    cx.stats.push(OpStat {
+        op,
+        rows: read,
+        morsels,
+    });
+    // Rows come out in stored order; their projection stays strictly
+    // increasing when it reads a column prefix, constants aside, in
+    // column order.
+    out.sorted = prefix && atom.out.windows(2).all(|w| w[0] < w[1]);
+    out
+}
+
+/// Whether one seek per distinct value (`cols` seek columns each) reads
+/// less than scanning all `rows` rows of the range.
+fn skip_pays(distinct: usize, cols: usize, rows: usize) -> bool {
+    let log = (usize::BITS - rows.leading_zeros()) as usize;
+    distinct
+        .saturating_mul(cols + 1)
+        .saturating_mul(log)
+        .saturating_mul(SEEK_PROBE_ROWS)
+        < rows
+}
+
+/// The rows of `lo..hi` — which agree on every column before `c`, so
+/// are sorted by `c` — whose column `c` holds `w`: a binary search for
+/// the first, a gallop to the end of its run.
+fn seek_range(rel: &VRel, dict: &Dict, lo: usize, hi: usize, c: usize, w: Val) -> (usize, usize) {
+    let start = partition(lo, hi, |r| {
+        dict.cmp_vals(rel.row(r)[c], w) == Ordering::Less
+    });
+    (start, gallop(start, hi, |r| rel.row(r)[c] == w))
+}
+
+/// The first index of `lo..hi` where `pred` fails (`hi` if none), for a
+/// `pred` that holds on a prefix of the range: a binary search.
+fn partition(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// [`partition`] by galloping from `lo`: O(log d) probes for a prefix of
+/// length `d`, however long the range.
+fn gallop(lo: usize, hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let mut good = lo;
+    let mut step = 1;
+    while good < hi {
+        let probe = (good + step).min(hi) - 1;
+        if !pred(probe) {
+            return partition(good, probe, pred);
+        }
+        good = probe + 1;
+        step *= 2;
+    }
+    good
+}
+
+/// The rows of `ranges` (ascending row ranges of `rel`) that pass
+/// `conds`, projected onto `proj` — dropping a row equal to the one
+/// kept before it when `adjacent`. A single unfiltered range read whole
+/// is borrowed, not copied. Fans out over morsels of the ranges;
+/// returns the stream and the number of morsels processed.
+fn filter_ranges<'a>(
+    rel: &'a VRel,
+    ranges: &[(usize, usize)],
+    conds: &[RCond],
+    proj: &[usize],
+    adjacent: bool,
+    cx: &ExecContext<'_>,
+) -> (VStream<'a>, usize) {
+    let arity = rel.arity();
+    let data = rel.data();
+    let identity = proj.iter().copied().eq(0..arity);
+    if let [(a, b)] = ranges {
+        if conds.is_empty() && identity {
+            let stream = VStream {
+                arity,
+                rows: b - a,
+                data: Cow::Borrowed(&data[a * arity..b * arity]),
+                sorted: false,
+            };
+            return (stream, 1);
+        }
+    }
+    let total: usize = ranges.iter().map(|(a, b)| b - a).sum();
+    let eng = cx.fanout(arity, total);
+    let step = if eng.is_some() {
+        cx.morsel_rows
+    } else {
+        usize::MAX
+    };
+    let slices: Vec<&[Val]> = ranges
+        .iter()
+        .flat_map(|&(a, b)| {
+            (a..b)
+                .step_by(step)
+                .map(move |s| &data[s * arity..s.saturating_add(step).min(b) * arity])
+        })
+        .collect();
+    let k = proj.len();
+    let part = |m: &&[Val]| -> Vec<Val> {
+        let mut out: Vec<Val> = Vec::new();
+        for row in m.chunks_exact(arity) {
+            if !conds.iter().all(|c| c.keep(row)) {
+                continue;
+            }
+            let n = out.len();
+            if adjacent && n >= k && proj.iter().zip(&out[n - k..]).all(|(&c, &w)| row[c] == w) {
+                continue;
+            }
+            out.extend(proj.iter().map(|&c| row[c]));
+        }
+        out
+    };
+    let parts: Vec<Vec<Val>> = match eng {
+        Some(eng) => eng.parallel_map(&slices, part),
+        None => slices.iter().map(part).collect(),
+    };
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for p in parts {
+        // Equal rows are adjacent, so only a part's first row can repeat
+        // the last row kept before it.
+        let n = out.len();
+        let repeat = adjacent && n >= k && p.len() >= k && p[..k] == out[n - k..];
+        out.extend_from_slice(&p[if repeat { k } else { 0 }..]);
+    }
+    let rows = out.len() / k;
+    (
+        VStream::owned(k, rows, out),
+        eng.map_or(1, |_| slices.len()),
+    )
+}
+
 /// Evaluate a node to a duplicate-free word stream.
 ///
 /// Invariant: every stream returned here is duplicate-free. Scans and
@@ -491,26 +958,7 @@ where
 /// naive backend.
 fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
     let (label, out, morsels) = match node {
-        PNode::Scan { name } => {
-            let out = match cx.scans.get(name) {
-                Some(s) => s.clone(),
-                None => {
-                    // Borrow the relation's flat store — no per-scan
-                    // copy, and the memoized clone is O(1) too.
-                    let s = match cx.state.vrel(name) {
-                        Some(rel) => VStream {
-                            arity: rel.arity(),
-                            rows: rel.rows(),
-                            data: std::borrow::Cow::Borrowed(rel.data()),
-                        },
-                        None => VStream::empty(0),
-                    };
-                    cx.scans.insert(name.clone(), s.clone());
-                    s
-                }
-            };
-            (format!("scan {name}"), out, 1)
-        }
+        PNode::Scan(atom) => return scan(atom, cx),
         PNode::Empty => ("empty".to_string(), VStream::empty(0), 1),
         PNode::Singleton { tuple } => {
             let mut out = VStream::empty(tuple.len());
@@ -571,98 +1019,8 @@ fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
         }
         PNode::ProjectNarrow { input, idx } => {
             let s = run(input, cx);
-            match cx.fanout(s.arity, s.rows).filter(|_| !idx.is_empty()) {
-                Some(eng) => {
-                    // Three parallel phases, equal to the sequential
-                    // scan's global first-occurrence semantics:
-                    //
-                    // 1. Per-morsel local dedup keeps each morsel's
-                    //    first occurrences and hashes each kept row.
-                    // 2. Sharded global dedup: shard workers scan the
-                    //    kept rows in global order, each claiming only
-                    //    rows whose hash lands in its shard. Equal rows
-                    //    always share a shard, so every shard's local
-                    //    first occurrence *is* the global one.
-                    // 3. An order-restoring stitch copies the surviving
-                    //    rows back in global order — no hashing, just a
-                    //    flag-guided sweep.
-                    let arity = s.arity;
-                    let k = idx.len();
-                    let morsels = s.morsels(cx.morsel_rows);
-                    let n = morsels.len();
-                    let parts: Vec<(Vec<Val>, Vec<u64>)> = eng.parallel_map(&morsels, |m| {
-                        let mut local: FxSet<Vec<Val>> = FxSet::default();
-                        let mut out = Vec::new();
-                        let mut hashes = Vec::new();
-                        for row in m.chunks_exact(arity) {
-                            let narrow: Vec<Val> = idx.iter().map(|&i| row[i]).collect();
-                            if local.contains(&narrow) {
-                                continue;
-                            }
-                            let mut h = FxHasher::default();
-                            for &v in &narrow {
-                                std::hash::Hasher::write_u64(&mut h, v.raw());
-                            }
-                            hashes.push(std::hash::Hasher::finish(&h));
-                            out.extend_from_slice(&narrow);
-                            local.insert(narrow);
-                        }
-                        (out, hashes)
-                    });
-                    // Each part's offset in the concatenated kept rows.
-                    let mut offsets = Vec::with_capacity(n);
-                    let mut total = 0usize;
-                    for (_, hashes) in &parts {
-                        offsets.push(total);
-                        total += hashes.len();
-                    }
-                    let shard_ids: Vec<u64> = (0..eng.threads().max(1) as u64).collect();
-                    let nshards = shard_ids.len() as u64;
-                    let survivors = eng.parallel_map(&shard_ids, |&shard| {
-                        let mut seen: FxSet<&[Val]> = FxSet::default();
-                        let mut keep: Vec<usize> = Vec::new();
-                        for (p, (rows, hashes)) in parts.iter().enumerate() {
-                            for (i, &h) in hashes.iter().enumerate() {
-                                if h % nshards != shard {
-                                    continue;
-                                }
-                                if seen.insert(&rows[i * k..(i + 1) * k]) {
-                                    keep.push(offsets[p] + i);
-                                }
-                            }
-                        }
-                        keep
-                    });
-                    let mut keep_flags = vec![false; total];
-                    for list in &survivors {
-                        for &g in list {
-                            keep_flags[g] = true;
-                        }
-                    }
-                    let mut out = VStream::empty(k);
-                    let mut g = 0usize;
-                    for (rows, hashes) in &parts {
-                        for i in 0..hashes.len() {
-                            if keep_flags[g] {
-                                out.push(&rows[i * k..(i + 1) * k]);
-                            }
-                            g += 1;
-                        }
-                    }
-                    ("project(dedup)".to_string(), out, n)
-                }
-                None => {
-                    let mut seen: FxSet<Vec<Val>> = fx::set_with_capacity(s.rows);
-                    let mut out = VStream::empty(idx.len());
-                    for row in s.rows() {
-                        let narrow: Vec<Val> = idx.iter().map(|&i| row[i]).collect();
-                        if seen.insert(narrow.clone()) {
-                            out.push(&narrow);
-                        }
-                    }
-                    ("project(dedup)".to_string(), out, 1)
-                }
-            }
+            let (out, morsels) = project_dedup(&s, idx, cx);
+            ("project(dedup)".to_string(), out, morsels)
         }
         PNode::HashJoin {
             left,
@@ -793,6 +1151,104 @@ fn run<'a>(node: &PNode, cx: &mut ExecContext<'a>) -> VStream<'a> {
         morsels,
     });
     out
+}
+
+/// Project `s` onto the columns `idx`, dropping repeated rows and
+/// keeping each row's first occurrence, in stream order. Returns the
+/// stream and the number of morsels processed.
+fn project_dedup<'a>(s: &VStream<'_>, idx: &[usize], cx: &ExecContext<'_>) -> (VStream<'a>, usize) {
+    match cx.fanout(s.arity, s.rows).filter(|_| !idx.is_empty()) {
+        Some(eng) => {
+            // Three parallel phases, equal to the sequential
+            // scan's global first-occurrence semantics:
+            //
+            // 1. Per-morsel local dedup keeps each morsel's
+            //    first occurrences and hashes each kept row.
+            // 2. Sharded global dedup: shard workers scan the
+            //    kept rows in global order, each claiming only
+            //    rows whose hash lands in its shard. Equal rows
+            //    always share a shard, so every shard's local
+            //    first occurrence *is* the global one.
+            // 3. An order-restoring stitch copies the surviving
+            //    rows back in global order — no hashing, just a
+            //    flag-guided sweep.
+            let arity = s.arity;
+            let k = idx.len();
+            let morsels = s.morsels(cx.morsel_rows);
+            let n = morsels.len();
+            let parts: Vec<(Vec<Val>, Vec<u64>)> = eng.parallel_map(&morsels, |m| {
+                let mut local: FxSet<Vec<Val>> = FxSet::default();
+                let mut out = Vec::new();
+                let mut hashes = Vec::new();
+                for row in m.chunks_exact(arity) {
+                    let narrow: Vec<Val> = idx.iter().map(|&i| row[i]).collect();
+                    if local.contains(&narrow) {
+                        continue;
+                    }
+                    let mut h = FxHasher::default();
+                    for &v in &narrow {
+                        std::hash::Hasher::write_u64(&mut h, v.raw());
+                    }
+                    hashes.push(std::hash::Hasher::finish(&h));
+                    out.extend_from_slice(&narrow);
+                    local.insert(narrow);
+                }
+                (out, hashes)
+            });
+            // Each part's offset in the concatenated kept rows.
+            let mut offsets = Vec::with_capacity(n);
+            let mut total = 0usize;
+            for (_, hashes) in &parts {
+                offsets.push(total);
+                total += hashes.len();
+            }
+            let shard_ids: Vec<u64> = (0..eng.threads().max(1) as u64).collect();
+            let nshards = shard_ids.len() as u64;
+            let survivors = eng.parallel_map(&shard_ids, |&shard| {
+                let mut seen: FxSet<&[Val]> = FxSet::default();
+                let mut keep: Vec<usize> = Vec::new();
+                for (p, (rows, hashes)) in parts.iter().enumerate() {
+                    for (i, &h) in hashes.iter().enumerate() {
+                        if h % nshards != shard {
+                            continue;
+                        }
+                        if seen.insert(&rows[i * k..(i + 1) * k]) {
+                            keep.push(offsets[p] + i);
+                        }
+                    }
+                }
+                keep
+            });
+            let mut keep_flags = vec![false; total];
+            for list in &survivors {
+                for &g in list {
+                    keep_flags[g] = true;
+                }
+            }
+            let mut out = VStream::empty(k);
+            let mut g = 0usize;
+            for (rows, hashes) in &parts {
+                for i in 0..hashes.len() {
+                    if keep_flags[g] {
+                        out.push(&rows[i * k..(i + 1) * k]);
+                    }
+                    g += 1;
+                }
+            }
+            (out, n)
+        }
+        None => {
+            let mut seen: FxSet<Vec<Val>> = fx::set_with_capacity(s.rows);
+            let mut out = VStream::empty(idx.len());
+            for row in s.rows() {
+                let narrow: Vec<Val> = idx.iter().map(|&i| row[i]).collect();
+                if seen.insert(narrow.clone()) {
+                    out.push(&narrow);
+                }
+            }
+            (out, 1)
+        }
+    }
 }
 
 /// Build/probe hash join on word keys. The build side is the smaller
@@ -1261,9 +1717,9 @@ mod tests {
     }
 
     #[test]
-    fn base_scans_are_memoized_per_execution() {
-        // F appears twice; the scan stream must be identical both times
-        // (and the memo map is exercised via the cloned path).
+    fn a_relation_referenced_twice_is_scanned_twice() {
+        // F appears twice; each scan borrows the whole store and reads
+        // all of it.
         let e = AlgebraExpr::Join(
             Box::new(AlgebraExpr::Base {
                 name: "F".into(),
@@ -1284,5 +1740,64 @@ mod tests {
         assert_eq!(scans.len(), 2);
         assert!(scans.iter().all(|s| s.rows == 3));
         assert_eq!(e.eval(&state), PhysicalPlan::compile(&e).execute(&state));
+    }
+
+    /// `Run(machine, word, trace)`, `Halted(machine, word)` over seven
+    /// machines, as in the trace store.
+    fn traces() -> State {
+        let schema = Schema::new()
+            .with_relation("Run", 3)
+            .with_relation("Halted", 2);
+        let mut b = crate::state::StateBuilder::new(schema);
+        for m in 0..7 {
+            for w in 0..100 {
+                for t in 0..3 {
+                    b.row(
+                        "Run",
+                        vec![
+                            Value::Str(format!("m{m}")),
+                            Value::Str(format!("w{w}")),
+                            Value::Str(format!("t{m}.{w}.{t}")),
+                        ],
+                    );
+                }
+                if (m + w) % 2 == 0 {
+                    b.row(
+                        "Halted",
+                        vec![Value::Str(format!("m{m}")), Value::Str(format!("w{w}"))],
+                    );
+                }
+            }
+        }
+        b.finish()
+    }
+
+    /// A scan counts the rows of its range, or one per run when it
+    /// gallops — never the whole relation.
+    #[test]
+    fn scans_read_the_range_not_the_relation() {
+        let state = traces();
+        for (q, path, read, answer) in [
+            // point: the 50 `Halted` rows of one machine, of 350.
+            ("Halted(\"m3\", w)", "seek 1 col", 50, 50),
+            // word: one seek per machine finds the 21 `Run` rows of one
+            // word, of 2100; the run-scan gallops over each machine's
+            // three and reads one.
+            ("exists p. Run(m, \"w42\", p)", "skip-scan col 0", 7, 7),
+            // project: one row per run of equal machines.
+            ("exists w. Halted(m, w)", "run-scan", 7, 7),
+        ] {
+            let f = parse_formula(q).unwrap();
+            let expr = compile(state.schema(), &f).unwrap();
+            let plan = PhysicalPlan::compile(&optimize(&expr, &state).expr);
+            let report = plan.execute_with_stats(&state);
+            assert_eq!(report.relation, expr.eval(&state), "{q}");
+            assert_eq!(report.relation.tuples.len(), answer, "{q}");
+            let [scan] = report.operators.as_slice() else {
+                panic!("{q}: one scan expected, got {:?}", report.operators);
+            };
+            assert!(scan.op.contains(path), "{q}: {}", scan.op);
+            assert_eq!(scan.rows, read, "{q}: {}", scan.op);
+        }
     }
 }

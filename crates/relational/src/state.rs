@@ -98,6 +98,37 @@ impl FromJson for Value {
 /// A tuple of values.
 pub type Tuple = Vec<Value>;
 
+/// Append `rows` as compact JSON — byte for byte
+/// `rows.to_json().to_compact()`, written straight from the values
+/// without a JSON node per cell (the serve answer edge).
+pub fn write_rows_json(out: &mut String, rows: &[Tuple]) {
+    use std::fmt::Write;
+    out.push('[');
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match v {
+                Value::Nat(n) => {
+                    let _ = write!(out, "{{\"Nat\":{n}}}");
+                }
+                Value::Str(s) => {
+                    out.push_str("{\"Str\":");
+                    fq_json::write_str(out, s);
+                    out.push('}');
+                }
+            }
+        }
+        out.push(']');
+    }
+    out.push(']');
+}
+
 /// Why an insertion or constant assignment was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StateError {
@@ -1346,5 +1377,33 @@ mod tests {
             .collect();
         assert!(s.contains_vals("R", &row));
         assert!(!s.contains_vals("R", &[row[1], row[0]]));
+    }
+
+    #[test]
+    fn direct_rows_writer_matches_the_json_codec() {
+        let s = |x: &str| Value::Str(x.to_string());
+        let cases: Vec<Vec<Tuple>> = vec![
+            vec![],
+            // A zero-arity answer: one empty tuple.
+            vec![vec![]],
+            vec![vec![
+                Value::Nat(0),
+                Value::Nat(1 << 63),
+                Value::Nat(u64::MAX),
+            ]],
+            vec![
+                vec![s(""), s("plain")],
+                vec![s("\"quoted\""), s("back\\slash")],
+                vec![s("line\nfeed\r\ttab"), s("\u{0}\u{1f}\u{7f}")],
+                vec![s("ünïcødé ✓ 𝄞"), Value::Nat(7)],
+            ],
+        ];
+        for rows in cases {
+            let mut direct = String::new();
+            write_rows_json(&mut direct, &rows);
+            assert_eq!(direct, rows.to_json().to_compact(), "{rows:?}");
+            let back: Vec<Tuple> = FromJson::from_json(&fq_json::parse(&direct).unwrap()).unwrap();
+            assert_eq!(back, rows);
+        }
     }
 }

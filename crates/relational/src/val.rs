@@ -708,6 +708,24 @@ impl<'a> OverlayDict<'a> {
             View::Str(s) => Value::Str(s.to_string()),
         }
     }
+
+    /// The semantic order of two words of the combined id space,
+    /// identical to comparing their decoded [`Value`]s.
+    pub fn cmp_vals(&self, a: Val, b: Val) -> Ordering {
+        if a == b {
+            return Ordering::Equal;
+        }
+        self.view(a).cmp(&self.view(b))
+    }
+
+    /// Lexicographic semantic order of two rows.
+    pub fn cmp_rows(&self, a: &[Val], b: &[Val]) -> Ordering {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| self.cmp_vals(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or_else(|| a.len().cmp(&b.len()))
+    }
 }
 
 /// A thread-safe [`OverlayDict`]: encoding locks, decoding of inline
@@ -1007,7 +1025,7 @@ impl VRel {
     /// already-sorted batch sorts in O(b)), O(b log(rows / b))
     /// comparisons to place it, and one copy of the store, against
     /// O(b × rows) for the equivalent [`VRel::insert`] loop. Cached
-    /// column statistics are carried over (see [`VRel::merge_batch`]).
+    /// column statistics are carried over (see `VRel::merge_batch`).
     ///
     /// # Panics
     ///

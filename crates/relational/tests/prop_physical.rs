@@ -258,3 +258,225 @@ fn thread_sweep_is_byte_identical_on_a_join_chain() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Atom access paths: seek, skip-scan, run-scan and the answer edge.
+// ---------------------------------------------------------------------
+
+/// Every morsel size the suites above use.
+const MORSEL_SIZES: [usize; 10] = [1, 2, 3, 4, 32, 50, 256, 400, 4096, 100_000];
+
+fn access_schema() -> Schema {
+    Schema::new().with_relation("T", 3).with_relation("S", 1)
+}
+
+/// Mixed stored values: inline naturals, a natural above the inline
+/// range (interned like a string), and strings that sort among and
+/// around each other.
+fn stored_value(i: usize) -> Value {
+    match i % 7 {
+        0 => Value::Nat(0),
+        1 => Value::Nat(2),
+        2 => Value::Nat(u64::MAX),
+        3 => Value::Str(String::new()),
+        4 => Value::Str("a".into()),
+        5 => Value::Str("b\"c".into()),
+        _ => Value::Nat(1),
+    }
+}
+
+/// Query constants: every stored value, plus values the dictionary
+/// never interned (a string, a big natural) or no row holds (an inline
+/// natural).
+fn arb_constant() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (0usize..7).prop_map(stored_value),
+        Just(Value::Str("zz".into())),
+        Just(Value::Nat((1 << 63) + 5)),
+        Just(Value::Nat(9)),
+    ]
+}
+
+/// A `T`/`S` state: either a few random rows, or a dense block whose
+/// leading column takes `lead` distinct values over `7 · per` rows each
+/// (less a random quarter) — long runs make a skip-scan pay, short ones
+/// do not.
+fn arb_access_state() -> impl Strategy<Value = State> {
+    let sparse = proptest::collection::vec((0usize..7, 0usize..7, 0usize..7), 0..12);
+    let per = prop_oneof![Just(3usize), Just(30)];
+    let dense =
+        (1usize..=4, 0usize..7, 0u64..u64::MAX, per).prop_map(|(lead, first, seed, per)| {
+            let mut rng = seed | 1;
+            let mut rows = Vec::new();
+            for a in 0..lead {
+                for b in 0..7 {
+                    for c in 0..per {
+                        // A sparse xorshift pattern drops some rows.
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        if rng % 4 != 0 {
+                            rows.push((first + a, b, c));
+                        }
+                    }
+                }
+            }
+            rows
+        });
+    (
+        prop_oneof![sparse, dense],
+        proptest::collection::btree_set(0usize..7, 0..4),
+    )
+        .prop_map(|(t, s)| {
+            let mut b = fq_relational::StateBuilder::new(access_schema());
+            for (x, y, z) in t {
+                let z = if z < 7 {
+                    stored_value(z)
+                } else {
+                    Value::Nat(z as u64)
+                };
+                b.row("T", vec![stored_value(x), stored_value(y), z]);
+            }
+            for x in s {
+                b.row("S", vec![stored_value(x)]);
+            }
+            b.finish()
+        })
+}
+
+/// One `T` atom with a variable or a constant at every position,
+/// optionally projected (an `exists`) and joined with `S`.
+fn arb_access_query() -> impl Strategy<Value = Formula> {
+    let term = prop_oneof![
+        2 => prop_oneof![Just("x"), Just("y"), Just("z")].prop_map(Term::var),
+        1 => arb_constant().prop_map(|v| match v {
+            Value::Nat(n) => Term::Nat(n),
+            Value::Str(s) => Term::Str(s),
+        }),
+    ];
+    let bound = prop_oneof![
+        Just(None),
+        prop_oneof![Just("x"), Just("y"), Just("z")].prop_map(Some),
+    ];
+    (term.clone(), term.clone(), term, bound, any::<bool>()).prop_map(|(a, b, c, bound, join)| {
+        let mut f = Formula::pred("T", vec![a, b, c]);
+        if join {
+            f = Formula::And(vec![f, Formula::pred("S", vec![Term::var("x")])]);
+        }
+        match bound {
+            Some(v) => Formula::exists(v, f),
+            None => f,
+        }
+    })
+}
+
+/// Run `plan` every way the executor can: sequentially, and on
+/// `threads` workers at every morsel size through the relation, count
+/// and answer edges. Each must equal the naive oracle.
+fn check_every_schedule(
+    plan: &PhysicalPlan,
+    state: &State,
+    naive: &fq_relational::Relation,
+    vars: &[String],
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let expected: Vec<Vec<Value>> = naive.reorder(vars).tuples.into_iter().collect();
+    prop_assert_eq!(&plan.execute(state), naive);
+    let engine = Engine::new(EngineConfig {
+        threads,
+        ..EngineConfig::default()
+    });
+    for morsel_rows in MORSEL_SIZES {
+        let opts = ExecOpts { morsel_rows };
+        let report = plan.execute_with_stats_on(state, &engine, opts);
+        prop_assert_eq!(&report.relation, naive, "morsel {}", morsel_rows);
+        let (rows, ops) = plan.answer_on(state, &engine, opts, vars);
+        prop_assert_eq!(&rows, &expected, "answer edge, morsel {}", morsel_rows);
+        prop_assert_eq!(&ops, &report.operators);
+        let (count, _) = plan.count_on(state, &engine, opts);
+        prop_assert_eq!(count, naive.tuples.len());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Seek, both sides of the skip-scan choice, run-scan and hash
+    /// dedup, residual filters and the answer-edge sort are bit-identical
+    /// to the naive oracle at 1–8 threads and every morsel size.
+    #[test]
+    fn atom_access_paths_match_naive(
+        state in arb_access_state(),
+        q in arb_access_query(),
+        threads in 1usize..=8,
+    ) {
+        if !is_safe_range(state.schema(), &q) {
+            return Ok(());
+        }
+        let Ok(expr) = compile(state.schema(), &q) else {
+            return Ok(());
+        };
+        let naive = expr.eval(&state);
+        let vars: Vec<String> = q.free_vars().into_iter().collect();
+        check_every_schedule(&PhysicalPlan::compile(&expr), &state, &naive, &vars, threads)?;
+        let opt = optimize(&expr, &state);
+        check_every_schedule(&PhysicalPlan::compile(&opt.expr), &state, &naive, &vars, threads)?;
+    }
+}
+
+/// The scan labels of `src` over `state`, with the answer checked
+/// against the naive oracle.
+fn scan_labels(state: &State, src: &str) -> Vec<String> {
+    let q = fq_logic::parse_formula(src).unwrap();
+    let expr = compile(state.schema(), &q).expect("compiles");
+    let plan = PhysicalPlan::compile(&optimize(&expr, state).expr);
+    let report = plan.execute_with_stats(state);
+    assert_eq!(report.relation, expr.eval(state), "{src}");
+    report
+        .operators
+        .into_iter()
+        .filter(|o| o.op.starts_with("scan "))
+        .map(|o| o.op)
+        .collect()
+}
+
+/// A dense `T`: `lead` leading values, each over `7 · per` rows.
+fn dense_state(lead: usize, per: u64) -> State {
+    let mut b = fq_relational::StateBuilder::new(access_schema());
+    for a in 0..lead {
+        for w in 0..7 {
+            for p in 0..per {
+                b.row("T", vec![stored_value(a), stored_value(w), Value::Nat(p)]);
+            }
+        }
+    }
+    b.finish()
+}
+
+#[test]
+fn each_access_path_is_taken() {
+    // 420 rows over two leading values: one seek per value pays.
+    let few = dense_state(2, 30);
+    let labels = scan_labels(&few, "exists p. T(m, \"a\", p)");
+    assert!(labels[0].contains("skip-scan col 0"), "{labels:?}");
+    assert!(labels[0].contains("run-scan"), "{labels:?}");
+    // 147 rows over seven: scanning the range reads less.
+    let many = dense_state(7, 3);
+    let labels = scan_labels(&many, "exists p. T(m, \"a\", p)");
+    assert!(!labels[0].contains("skip-scan"), "{labels:?}");
+    assert!(labels[0].contains("filter"), "{labels:?}");
+    for (src, path) in [
+        ("T(2, w, p)", "seek 1 col, project"),
+        ("T(2, \"a\", p)", "seek 2 col, project"),
+        ("exists w p. T(m, w, p)", "run-scan"),
+        ("exists p. T(2, w, p)", "seek 1 col, run-scan"),
+        ("exists m. T(m, w, p)", "dedup"),
+        ("T(m, w, 3)", "filter"),
+    ] {
+        let labels = scan_labels(&many, src);
+        assert!(labels[0].contains(path), "{src}: {labels:?}");
+    }
+    // A constant no stored row holds reads nothing.
+    assert_eq!(scan_labels(&many, "T(\"zz\", w, p)"), vec!["scan T"]);
+}

@@ -241,9 +241,8 @@ fn cmd_explain(args: &[String]) -> CliResult {
     let domain = domain_arg(args, 2, query)?;
     let exec = Executor::from_env();
     let snapshot = finite_queries::relational::Snapshot::detached(state);
-    let (planned, _) = exec.plan(&snapshot, query, domain)?;
+    let (planned, out) = exec.explain_snapshot(&snapshot, query, domain)?;
     println!("{}", planned.explain());
-    let out = exec.execute_snapshot(&snapshot, query, domain)?;
     println!("---");
     match out.completeness {
         Completeness::Decided { value } => println!("decided:    {value}"),

@@ -176,6 +176,17 @@ fn explain_shows_plan_answer_and_stats() {
 }
 
 #[test]
+fn explain_reports_a_plan_cache_miss_for_a_fresh_text() {
+    let state = repo_fathers_json();
+    let (out, err, ok) = fq(&["explain", &state, "exists y. F(x, y) & F(y, z)", "eq"]);
+    assert!(ok, "{err}");
+    assert!(
+        out.contains("plan-cache miss (0 hit(s) / 1 miss(es))"),
+        "{out}"
+    );
+}
+
+#[test]
 fn explain_decides_sentences() {
     let state = repo_fathers_json();
     let (out, _, ok) = fq(&["explain", &state, "exists x y. F(x, y)", "nat"]);
